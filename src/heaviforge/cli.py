@@ -13,19 +13,21 @@ digits for raw values so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import Sequence
 
 from .piecewise import InvalidInterval, InvalidSpec
-from .primes import PrecisionPlan, fes, pi_analytic, pi_sieve, plan_precision, sigma0_analytic, sigma0_oracle
+from .primes import fes, pi_analytic, pi_sieve, plan_precision, sigma0_analytic, sigma0_oracle
 from .quadrature import CutoffParams, QuadratureError
 from .setexpr import SetExprError, evaluate
 from .stepfun import Backend, StepKind, eval_c, eval_delta, eval_f, eval_q, eval_rt, eval_step, eval_u, snap
-from .xisets import ChainResult, XiSet, _atom_key, format_finite_set, grandi_demo, membership
+from .xisets import ChainResult, XiSet, atom_key, format_finite_set, grandi_demo, membership
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
+MAX_GRID_ROWS = 1_000_000
 
 _FUNCTIONS = {
     "f": eval_f,
@@ -48,13 +50,20 @@ def _usage_fail(message: str) -> int:
     return USAGE_ERROR
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite real, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--T", type=float, default=100.0, help="half-line cutoff (default 100)")
-    common.add_argument("--U", type=float, default=None, help="indicator scale (default 128)")
-    common.add_argument("--eps", type=float, default=None, help="tangent-interval margin before pi/2")
-    common.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance (default 1e-9)")
-    common.add_argument("--snap-atol", type=float, default=1e-6, help="snapping tolerance (default 1e-6)")
+    common.add_argument("--T", type=_finite, default=100.0, help="half-line cutoff (default 100)")
+    common.add_argument("--U", type=_finite, default=None, help="indicator scale (default 128)")
+    common.add_argument("--eps", type=_finite, default=None, help="tangent-interval margin before pi/2")
+    common.add_argument("--tol", type=_finite, default=1e-9, help="quadrature tolerance (default 1e-9)")
+    common.add_argument("--snap-atol", type=_finite, default=1e-6, help="snapping tolerance (default 1e-6)")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
     common.add_argument("--format", choices=["csv", "svg"], default=None, help="output format (svg: plot only)")
 
@@ -63,14 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common], help="evaluate one function at one point")
     p.add_argument("function", choices=sorted(_FUNCTIONS))
-    p.add_argument("x", type=float)
+    p.add_argument("x", type=_finite)
 
     for name, help_text in (("table", "CSV table over a grid"), ("plot", "SVG polyline over a grid")):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("function", choices=sorted(_FUNCTIONS))
-        p.add_argument("start", type=float)
-        p.add_argument("stop", type=float)
-        p.add_argument("step", type=float)
+        p.add_argument("start", type=_finite)
+        p.add_argument("stop", type=_finite)
+        p.add_argument("step", type=_finite)
 
     p = sub.add_parser("primes", parents=[common], help="divisor/prime chain vs. exact oracles")
     p.add_argument("n_max", type=int)
@@ -82,12 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
 
     return parser
-
-
-def _resolve_cutoffs(args) -> CutoffParams:
-    if args.U is not None and args.eps is not None:
-        raise ValueError("--U and --eps are two views of the same cutoff; give only one")
-    return CutoffParams(half_line_T=args.T, tan_margin_eps=args.eps, indicator_scale_U=args.U)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -105,7 +108,10 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
         raise ValueError(f"grid step must be positive, got {step!r}")
     if start == stop:
         return [start]
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_ROWS:  # "not <" also refuses an overflowed, infinite span
+        raise ValueError(f"grid has more than {MAX_GRID_ROWS} rows; use a larger step")
+    count = int(math.floor(span)) + 1
     return [start + k * step for k in range(count)]
 
 
@@ -189,15 +195,14 @@ def _cmd_plot(args, params: CutoffParams) -> int:
     return 0
 
 
-def _cmd_primes(args, params_override_U: float | None) -> int:
+def _cmd_primes(args, params: CutoffParams) -> int:
     n_max = args.n_max
     if not 1 <= n_max <= 10_000:
         raise ValueError(f"n_max must lie in [1, 10000], got {n_max!r}")
-    if params_override_U is not None:
+    plan = plan_precision(n_max)
+    if args.U is not None or args.eps is not None:
         # explicit scale override, e.g. to explore how an inadequate plan fails
-        plan = PrecisionPlan(n_max=n_max, indicator_scale_U=params_override_U, round_margin=0.25)
-    else:
-        plan = plan_precision(n_max)
+        plan = dataclasses.replace(plan, indicator_scale_U=params.indicator_scale_U)
     margin = plan.round_margin
 
     lines = ["n,sigma0_analytic,sigma0_exact,fes_snapped,pi_analytic,pi_sieve,match"]
@@ -238,7 +243,7 @@ def _cmd_xiset(args) -> int:
     assert isinstance(result, XiSet)
     print(f"xi_class {result.xi_class}")
     print(f"components {result}")
-    atoms = sorted(set().union(*result.components), key=_atom_key)
+    atoms = sorted(set().union(*result.components), key=atom_key)
     for atom in atoms:
         report = membership(atom, result)
         indices = ",".join(str(i) for i in sorted(report.index_set))
@@ -255,6 +260,9 @@ def _cmd_grandi(args) -> int:
     return 0
 
 
+_CUTOFF_COMMANDS = {"eval": _cmd_eval, "table": _cmd_table, "plot": _cmd_plot, "primes": _cmd_primes}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -263,17 +271,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _usage_fail("--format svg is only valid for the plot subcommand")
 
     try:
-        if args.command in ("eval", "table", "plot"):
-            params = _resolve_cutoffs(args)
-            handler = {"eval": _cmd_eval, "table": _cmd_table, "plot": _cmd_plot}[args.command]
-            return handler(args, params)
-        if args.command == "primes":
-            if args.U is not None and args.eps is not None:
-                raise ValueError("--U and --eps are two views of the same cutoff; give only one")
-            override = args.U
-            if override is None and args.eps is not None:
-                override = math.tan(math.pi / 2.0 - args.eps)
-            return _cmd_primes(args, override)
+        if args.command in _CUTOFF_COMMANDS:
+            params = CutoffParams(half_line_T=args.T, tan_margin_eps=args.eps, indicator_scale_U=args.U)
+            return _CUTOFF_COMMANDS[args.command](args, params)
         if args.command == "xiset":
             return _cmd_xiset(args)
         if args.command == "grandi":

@@ -21,7 +21,7 @@ that margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .quadrature import CutoffParams
@@ -49,19 +49,20 @@ class PrecisionPlan:
 
     Invariant: e^{-U sin^2(pi/n_max)} < round_margin / n_max, so the summed
     non-divisor leakage of any sigma0(n), n <= n_max, stays below the margin.
+    ``cutoffs`` is built once from U and takes no part in equality or hashing.
     """
 
     n_max: int
     indicator_scale_U: float
     round_margin: float
+    cutoffs: CutoffParams = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max!r}")
         if not (0.0 < self.round_margin < 0.5):
             raise ValueError(f"round_margin must lie in (0, 0.5), got {self.round_margin!r}")
-        if self.indicator_scale_U <= 0.0:
-            raise ValueError(f"indicator_scale_U must be positive, got {self.indicator_scale_U!r}")
+        object.__setattr__(self, "cutoffs", CutoffParams(indicator_scale_U=self.indicator_scale_U))
 
 
 def plan_precision(n_max: int, round_margin: float = 0.25) -> PrecisionPlan:
@@ -85,11 +86,6 @@ def plan_precision(n_max: int, round_margin: float = 0.25) -> PrecisionPlan:
     return PrecisionPlan(n_max=n_max, indicator_scale_U=U, round_margin=round_margin)
 
 
-@lru_cache(maxsize=None)
-def _cutoffs_for_scale(U: float) -> CutoffParams:
-    return CutoffParams(indicator_scale_U=U)
-
-
 def _check_n(n: int, plan: PrecisionPlan) -> None:
     if not 1 <= n <= plan.n_max:
         raise OutOfPlan(f"n={n!r} outside plan range [1, {plan.n_max}]")
@@ -99,7 +95,7 @@ def _check_n(n: int, plan: PrecisionPlan) -> None:
 def sigma0_analytic(n: int, plan: PrecisionPlan) -> float:
     """Indicator-sum divisor count; within ``plan.round_margin`` of the truth."""
     _check_n(n, plan)
-    params = _cutoffs_for_scale(plan.indicator_scale_U)
+    params = plan.cutoffs
     total = 0.0
     for i in range(1, n + 1):
         r = n % i  # exact integer remainder: divisor terms are rt(0) = 1 exactly
@@ -128,8 +124,7 @@ def fes(n: int, plan: PrecisionPlan) -> float:
     composite, matching the two-divisor criterion.
     """
     _check_n(n, plan)
-    params = _cutoffs_for_scale(plan.indicator_scale_U)
-    return eval_rt(sigma0_analytic(n, plan) - 2.0, params)
+    return eval_rt(sigma0_analytic(n, plan) - 2.0, plan.cutoffs)
 
 
 def pi_analytic(x: float, plan: PrecisionPlan) -> float:
@@ -141,7 +136,7 @@ def pi_analytic(x: float, plan: PrecisionPlan) -> float:
     """
     if not (0.0 <= x <= plan.n_max):
         raise OutOfPlan(f"x={x!r} outside plan range [0, {plan.n_max}]")
-    params = _cutoffs_for_scale(plan.indicator_scale_U)
+    params = plan.cutoffs
     upper = min(int(math.floor(x)) + 1, plan.n_max)
     total = 0.0
     for i in range(1, upper + 1):

@@ -72,10 +72,11 @@ class CutoffParams:
                      stops at pi/2 - eps
     indicator_scale_U  effective indicator scale, U = tan(pi/2 - eps)
 
-    Either ``tan_margin_eps`` or ``indicator_scale_U`` may be omitted, in
-    which case it is derived from the other through the tangent (the library
-    standardizes on the substitution u = tan t, so U and eps are two views
-    of the same cutoff).  Omitting both selects the defaults T=100, U=128.
+    Give at most one of ``tan_margin_eps`` and ``indicator_scale_U``; the
+    other is derived from it through the tangent (the library standardizes
+    on the substitution u = tan t, so U and eps are two views of the same
+    cutoff, and giving both raises ``ValueError``).  Omitting both selects
+    the defaults T=100, U=128.
     """
 
     half_line_T: float = 100.0
@@ -89,23 +90,19 @@ class CutoffParams:
         object.__setattr__(self, "half_line_T", T)
 
         eps, U = self.tan_margin_eps, self.indicator_scale_U
-        if eps is None and U is None:
-            U = 128.0
+        if eps is not None and U is not None:
+            raise ValueError("tan_margin_eps and indicator_scale_U are one cutoff; give only one")
         if eps is None:
-            U = float(U)
-            if not (math.isfinite(U) and U > 0.0):
-                raise ValueError(f"indicator_scale_U must be a positive real, got {U!r}")
+            U = 128.0 if U is None else float(U)
+            # U > 1 is eps < pi/4: tan(pi/4) = 1
+            if not (math.isfinite(U) and U > 1.0):
+                raise ValueError(f"indicator_scale_U must be a finite real > 1, got {U!r}")
             eps = math.atan(1.0 / U)  # = pi/2 - atan(U), without cancellation
-        elif U is None:
+        else:
             eps = float(eps)
             if not (0.0 < eps < math.pi / 4.0):
                 raise ValueError(f"tan_margin_eps must lie in (0, pi/4), got {eps!r}")
             U = math.tan(math.pi / 2.0 - eps)
-        eps, U = float(eps), float(U)
-        if not (0.0 < eps < math.pi / 4.0):
-            raise ValueError(f"tan_margin_eps must lie in (0, pi/4), got {eps!r}")
-        if not (math.isfinite(U) and U > 0.0):
-            raise ValueError(f"indicator_scale_U must be a positive real, got {U!r}")
         object.__setattr__(self, "tan_margin_eps", eps)
         object.__setattr__(self, "indicator_scale_U", U)
 

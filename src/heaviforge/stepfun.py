@@ -119,39 +119,27 @@ def _f_integrand(x: float):
     return lambda t: x * _density_np(x * t)
 
 
-def _c_integrand(x: float):
-    def g(t):
-        tn = np.tan(t)
-        return x * (1.0 + tn * tn) * _density_np(x * tn)
-    return g
-
-
 def _u_integrand(x: float):
     x2 = x * x
     return lambda t: x2 * np.exp(-t * x2)
 
 
-def _q_integrand(x: float):
-    x2 = x * x
+def _tan(integrand):
+    """Move a half-line integrand onto the tangent interval: u = tan t."""
     def g(t):
         tn = np.tan(t)
-        return x2 * (1.0 + tn * tn) * np.exp(-x2 * tn)
+        return (1.0 + tn * tn) * integrand(tn)
     return g
 
 
-def _delta_integrand_first(x: float):
+def _delta_integrand(x: float):
+    # x-derivatives of the f and u integrands, f' - u':
     # e^{tx}(1 + tx)/(1+e^{tx})^2 - 2x e^{-t x^2}
+    #   + 2 t x^3 e^{-t x^2} - 2 t x e^{2tx}/(1+e^{tx})^3
     def g(t):
         z = t * x
-        return (1.0 + z) * _density_np(z) - 2.0 * x * np.exp(-t * x * x)
-    return g
-
-
-def _delta_integrand_second(x: float):
-    # 2 t x^3 e^{-t x^2} - 2 t x e^{2tx}/(1+e^{tx})^3
-    def g(t):
-        z = t * x
-        return 2.0 * t * x ** 3 * np.exp(-t * x * x) - 2.0 * z * _cubed_density_np(z)
+        return ((1.0 + z) * _density_np(z) - 2.0 * x * np.exp(-t * x * x)
+                + 2.0 * t * x ** 3 * np.exp(-t * x * x) - 2.0 * z * _cubed_density_np(z))
     return g
 
 
@@ -180,7 +168,7 @@ def eval_c(
     params = params or DEFAULT_CUTOFFS
     if backend is Backend.CLOSED_FORM:
         return _ramp(x * params.indicator_scale_U)
-    return integrate_tan_interval(_c_integrand(x), params, tol).value
+    return integrate_tan_interval(_tan(_f_integrand(x)), params, tol).value
 
 
 def eval_u(
@@ -206,7 +194,7 @@ def eval_q(
     params = params or DEFAULT_CUTOFFS
     if backend is Backend.CLOSED_FORM:
         return -math.expm1(-params.indicator_scale_U * x * x)
-    return integrate_tan_interval(_q_integrand(x), params, tol).value
+    return integrate_tan_interval(_tan(_u_integrand(x)), params, tol).value
 
 
 def eval_rt(
@@ -219,7 +207,7 @@ def eval_rt(
     params = params or DEFAULT_CUTOFFS
     if backend is Backend.CLOSED_FORM:
         return math.exp(-params.indicator_scale_U * x * x)
-    return 1.0 - integrate_tan_interval(_q_integrand(x), params, tol).value
+    return 1.0 - integrate_tan_interval(_tan(_u_integrand(x)), params, tol).value
 
 
 def eval_step(
@@ -242,9 +230,9 @@ def eval_step(
             return h2
         return h2 + 0.5 * math.exp(-U * x * x)
     if kind is StepKind.H2:
-        return 0.5 + integrate_tan_interval(_c_integrand(x), params, tol).value
-    c_int, q_int = _c_integrand(x), _q_integrand(x)
-    combined = lambda t: c_int(t) - 0.5 * q_int(t)
+        return 0.5 + integrate_tan_interval(_tan(_f_integrand(x)), params, tol).value
+    f_int, u_int = _f_integrand(x), _u_integrand(x)
+    combined = _tan(lambda u: f_int(u) - 0.5 * u_int(u))
     return 1.0 + integrate_tan_interval(combined, params, tol).value
 
 
@@ -260,13 +248,12 @@ def eval_delta(
     density term carries the unit mass and peaks at delta(0) = T/4 (finite
     by design; the exact delta's infinity is represented by growth in T),
     while the odd Gaussian term integrates to zero over symmetric intervals.
-    The quadrature backend integrates the differentiated integrand pair of
-    the step representation rather than differencing numerically.
+    The quadrature backend integrates the x-derivative of the ramp and
+    indicator integrands, summed into one integrand, to ``tol`` in a single
+    pass rather than differencing numerically.
     """
     params = params or DEFAULT_CUTOFFS
     T = params.half_line_T
     if backend is Backend.CLOSED_FORM:
         return T * _density(T * x) - 2.0 * T * x * math.exp(-T * x * x)
-    first = integrate_half_line(_delta_integrand_first(x), params, tol / 2.0)
-    second = integrate_half_line(_delta_integrand_second(x), params, tol / 2.0)
-    return first.value + second.value
+    return integrate_half_line(_delta_integrand(x), params, tol).value

@@ -49,13 +49,15 @@ __all__ = [
     "eval_chain",
     "grandi_demo",
     "format_finite_set",
+    "atom_key",
 ]
 
 FiniteSet = frozenset
 EMPTY_SET: frozenset = frozenset()
 
 
-def _atom_key(atom):
+def atom_key(atom):
+    """Sort key for atoms: integers in numeric order, then the rest by text."""
     if isinstance(atom, int):
         return (0, atom, "")
     return (1, 0, str(atom))
@@ -63,7 +65,7 @@ def _atom_key(atom):
 
 def format_finite_set(s: Iterable[Hashable]) -> str:
     """Render a finite set in the expression-language syntax; theta is ``0``."""
-    items = sorted(s, key=_atom_key)
+    items = sorted(s, key=atom_key)
     if not items:
         return "0"
     return "{" + ",".join(str(a) for a in items) + "}"

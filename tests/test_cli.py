@@ -1,4 +1,6 @@
+import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -59,6 +61,22 @@ def test_eval_unparseable_x_exits_2():
 def test_conflicting_scale_flags_exit_2():
     proc = run_cli("eval", "H2", "0", "--U", "50", "--eps", "0.01")
     assert proc.returncode == 2
+    proc = run_cli("primes", "10", "--U", "64", "--eps", "0.01")
+    assert proc.returncode == 2
+    assert "give only one" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "H1", "nan"),
+    ("eval", "H1", "0", "--tol", "inf"),
+    ("table", "H1", "nan", "1", "0.5"),
+    ("table", "H1", "0", "inf", "0.5"),
+    ("plot", "H1", "0", "1", "inf"),
+])
+def test_non_finite_numbers_exit_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "must be a finite real" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +117,20 @@ def test_table_rejects_bad_grids():
     assert run_cli("table", "H1", "2", "1", "1").returncode == 2
     assert run_cli("table", "H1", "0", "1", "-1").returncode == 2
     assert run_cli("table", "H1", "0", "1", "0").returncode == 2
+
+
+def _cap_memory():
+    # should the row cap regress, fail fast instead of filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("grid", [("0", "1", "1e-300"), ("0", "1", "1e-6"), ("0", "1e308", "1e-300")])
+def test_table_rejects_oversized_grids(grid, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # thread buffers would count against the cap
+    proc = run_cli("table", "f", *grid, preexec_fn=_cap_memory, timeout=60)
+    assert proc.returncode == 2
+    assert "more than 1000000 rows" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_table_rejects_svg_format():
@@ -170,6 +202,21 @@ def test_primes_inadequate_scale_exits_1():
     proc = run_cli("primes", "200", "--U", "2")
     assert proc.returncode == 1
     assert "mismatches=0" not in proc.stderr
+
+
+def test_primes_eps_is_the_scale_through_the_tangent():
+    U = repr(math.tan(math.pi / 2.0 - 0.05))
+    by_eps = run_cli("primes", "60", "--eps", "0.05")
+    by_scale = run_cli("primes", "60", "--U", U)
+    assert by_eps.returncode == by_scale.returncode == 1  # U ~ 20 is too small for n = 60
+    assert by_eps.stdout == by_scale.stdout
+    assert by_eps.stderr == by_scale.stderr
+
+
+def test_primes_rejects_zero_margin():
+    proc = run_cli("primes", "10", "--eps", "0")
+    assert proc.returncode == 2
+    assert "tan_margin_eps" in proc.stderr
 
 
 def test_primes_rejects_out_of_range():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -55,6 +56,13 @@ def test_plan_examples():
     assert plan_precision(10, 0.25).indicator_scale_U == 64.0  # 128 suffices; 64 already does
     assert plan_precision(200, 0.25).indicator_scale_U == 32768.0
     assert plan_precision(1, 0.25).indicator_scale_U == 2.0  # no non-divisor terms exist
+
+
+def test_plan_carries_its_cutoffs():
+    plan = plan_precision(50)
+    assert plan.cutoffs.indicator_scale_U == plan.indicator_scale_U
+    override = dataclasses.replace(plan, indicator_scale_U=2.0)
+    assert override.cutoffs.indicator_scale_U == 2.0
 
 
 def test_plan_rejects_bad_arguments():

@@ -50,6 +50,9 @@ def test_margin_derived_from_scale():
     {"tan_margin_eps": -1e-3},
     {"indicator_scale_U": 0.0},
     {"indicator_scale_U": -5.0},
+    {"indicator_scale_U": 1.0},  # tan(pi/4): the margin would be pi/4
+    {"indicator_scale_U": math.nan},
+    {"tan_margin_eps": 0.1, "indicator_scale_U": 1000.0},  # two views of one cutoff
 ])
 def test_invalid_cutoffs_rejected(kwargs):
     with pytest.raises(ValueError):

@@ -49,6 +49,7 @@ from .primes import (
     pi_analytic,
     pi_sieve,
     plan_precision,
+    prime_chain,
     sigma0_analytic,
     sigma0_oracle,
 )

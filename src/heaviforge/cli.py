@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 from typing import Sequence
 
 from .piecewise import InvalidInterval, InvalidSpec
-from .primes import fes, pi_analytic, pi_sieve, plan_precision, sigma0_analytic, sigma0_oracle
+from .primes import pi_sieve, plan_precision, prime_chain, sigma0_oracle
 from .quadrature import CutoffParams, QuadratureError
 from .setexpr import SetExprError, evaluate
 from .stepfun import Backend, StepKind, eval_c, eval_delta, eval_f, eval_q, eval_rt, eval_step, eval_u, snap
@@ -28,6 +29,8 @@ from .xisets import ChainResult, XiSet, atom_key, format_finite_set, grandi_demo
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
 MAX_GRID_ROWS = 1_000_000
+# argparse's own pattern misses exponents and would read "-1e-3" as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 _FUNCTIONS = {
     "f": eval_f,
@@ -90,6 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grandi", parents=[common], help="alternating-series partial sums and Cesaro mean")
     p.add_argument("k", type=int)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -207,11 +212,9 @@ def _cmd_primes(args, params: CutoffParams) -> int:
 
     lines = ["n,sigma0_analytic,sigma0_exact,fes_snapped,pi_analytic,pi_sieve,match"]
     mismatches = 0
-    for n in range(1, n_max + 1):
-        sig = sigma0_analytic(n, plan)
+    for n, sig, flag, pi_raw in zip(range(1, n_max + 1), *prime_chain(plan)):
         sig_exact = sigma0_oracle(n)
-        fes_snapped = snap(fes(n, plan), margin)
-        pi_raw = pi_analytic(float(n), plan)
+        fes_snapped = snap(flag, margin)
         pi_exact = pi_sieve(float(n))
         ok = (
             round(sig) == sig_exact
@@ -252,8 +255,6 @@ def _cmd_xiset(args) -> int:
 
 
 def _cmd_grandi(args) -> int:
-    if args.k < 1:
-        raise ValueError(f"k must be >= 1, got {args.k!r}")
     sums, cesaro = grandi_demo(args.k)
     print("partial_sums " + ",".join(str(s) for s in sums))
     print(f"cesaro_mean {cesaro}")

@@ -5,6 +5,7 @@ The chain: sigma0(n) sums the zero indicator rt(sin(pi (n mod i) / i)) over
 i = 1..n, so divisor terms contribute exactly 1 and the rest leak at most
 e^{-U sin^2(pi/n_max)} each; fes(n) = rt(sigma0(n) - 2) flags the primes
 (exactly two divisors); pi(x) accumulates fes(i) H1(x - i).
+:func:`prime_chain` computes all three for n = 1..n_max, each value once.
 
 Truncating sigma0's sum at i = n is exact, not an approximation: no divisor
 of n exceeds n.  Do NOT extend the sum numerically past n -- sin(pi n / i)
@@ -20,9 +21,9 @@ that margin.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .quadrature import CutoffParams
 from .stepfun import StepKind, eval_rt, eval_step
@@ -36,6 +37,7 @@ __all__ = [
     "fes",
     "pi_analytic",
     "pi_sieve",
+    "prime_chain",
 ]
 
 
@@ -73,17 +75,15 @@ def plan_precision(n_max: int, round_margin: float = 0.25) -> PrecisionPlan:
     exactly pi/4, outside the open cutoff range.  For n_max = 1 there are no
     non-divisor terms, so that smallest admissible scale already works.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    if not (0.0 < round_margin < 0.5):
-        raise ValueError(f"round_margin must lie in (0, 0.5), got {round_margin!r}")
-    U = 2.0
+    # validate before the search: a round_margin <= 0 would never end it
+    plan = PrecisionPlan(n_max=n_max, indicator_scale_U=2.0, round_margin=round_margin)
+    U = plan.indicator_scale_U
     if n_max > 1:
         s = math.sin(math.pi / n_max) ** 2
         bound = round_margin / n_max
         while math.exp(-U * s) >= bound:
             U *= 2.0
-    return PrecisionPlan(n_max=n_max, indicator_scale_U=U, round_margin=round_margin)
+    return dataclasses.replace(plan, indicator_scale_U=U)
 
 
 def _check_n(n: int, plan: PrecisionPlan) -> None:
@@ -91,7 +91,6 @@ def _check_n(n: int, plan: PrecisionPlan) -> None:
         raise OutOfPlan(f"n={n!r} outside plan range [1, {plan.n_max}]")
 
 
-@lru_cache(maxsize=None)
 def sigma0_analytic(n: int, plan: PrecisionPlan) -> float:
     """Indicator-sum divisor count; within ``plan.round_margin`` of the truth."""
     _check_n(n, plan)
@@ -116,7 +115,10 @@ def sigma0_oracle(n: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+def _prime_flag(sigma0: float, plan: PrecisionPlan) -> float:
+    return eval_rt(sigma0 - 2.0, plan.cutoffs)
+
+
 def fes(n: int, plan: PrecisionPlan) -> float:
     """Prime indicator rt(sigma0(n) - 2): near 1 iff n is prime.
 
@@ -124,7 +126,21 @@ def fes(n: int, plan: PrecisionPlan) -> float:
     composite, matching the two-divisor criterion.
     """
     _check_n(n, plan)
-    return eval_rt(sigma0_analytic(n, plan) - 2.0, plan.cutoffs)
+    return _prime_flag(sigma0_analytic(n, plan), plan)
+
+
+def _gated_count(flags, gates) -> float:
+    """Sum of flag * gate, added left to right from 0.0.
+
+    The order is part of the result: :func:`prime_chain` reproduces
+    :func:`pi_analytic` bit for bit only because both add the same terms in
+    the same order.  (``sum`` compensates from Python 3.12 on, which would
+    change the last bits.)
+    """
+    total = 0.0
+    for flag, gate in zip(flags, gates):
+        total += flag * gate
+    return total
 
 
 def pi_analytic(x: float, plan: PrecisionPlan) -> float:
@@ -137,11 +153,28 @@ def pi_analytic(x: float, plan: PrecisionPlan) -> float:
     if not (0.0 <= x <= plan.n_max):
         raise OutOfPlan(f"x={x!r} outside plan range [0, {plan.n_max}]")
     params = plan.cutoffs
-    upper = min(int(math.floor(x)) + 1, plan.n_max)
-    total = 0.0
-    for i in range(1, upper + 1):
-        total += fes(i, plan) * eval_step(StepKind.H1, x - i, params)
-    return total
+    terms = range(1, min(int(math.floor(x)) + 1, plan.n_max) + 1)
+    flags = (fes(i, plan) for i in terms)
+    return _gated_count(flags, (eval_step(StepKind.H1, x - i, params) for i in terms))
+
+
+def prime_chain(plan: PrecisionPlan) -> tuple[list[float], list[float], list[float]]:
+    """``(sigma0, fes, pi)`` for n = 1..plan.n_max, entry n - 1 for n.
+
+    Equal bit for bit to ``sigma0_analytic(n)``, ``fes(n)`` and
+    ``pi_analytic(float(n))``, but each value is computed once: sigma0 and
+    its prime flag once per n, and H1 once per integer offset k = n - i
+    (float(n) - i is exactly float(n - i) at these sizes).
+    """
+    n_max = plan.n_max
+    sigma0 = [sigma0_analytic(n, plan) for n in range(1, n_max + 1)]
+    flags = [_prime_flag(s, plan) for s in sigma0]
+    # gates[j] = H1(n_max - 1 - j), offsets n_max - 1 down to -1; pi(n) pairs
+    # flag i with gate n - i from j = n_max - n on, and zip stops after
+    # min(n + 1, n_max) terms, the cap of pi_analytic
+    gates = [eval_step(StepKind.H1, float(k), plan.cutoffs) for k in range(n_max - 1, -2, -1)]
+    pi = [_gated_count(flags, gates[n_max - n :]) for n in range(1, n_max + 1)]
+    return sigma0, flags, pi
 
 
 def pi_sieve(x: float) -> int:

@@ -33,6 +33,8 @@ from .xisets import (
 
 __all__ = ["SetExprError", "evaluate"]
 
+MAX_DEPTH = 100  # parenthesis nesting; the parser recurses once per level
+
 
 class SetExprError(ValueError):
     def __init__(self, message: str, position: int):
@@ -74,6 +76,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -123,10 +126,14 @@ class _Parser:
         return node
 
     def parse_term(self) -> XiSet:
-        kind, _, _ = self.peek()
+        kind, _, pos = self.peek()
         if kind == "lparen":
+            if self.depth == MAX_DEPTH:
+                raise SetExprError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
             self.next()
+            self.depth += 1
             node = self.parse_expr()
+            self.depth -= 1
             self.expect("rparen", "')'")
             return node
         components = [self.parse_setlit()]

@@ -255,5 +255,7 @@ def eval_delta(
     params = params or DEFAULT_CUTOFFS
     T = params.half_line_T
     if backend is Backend.CLOSED_FORM:
+        if math.isinf(x):
+            return 0.0  # the limit of both terms; x e^{-T x^2} would be inf * 0
         return T * _density(T * x) - 2.0 * T * x * math.exp(-T * x * x)
     return integrate_half_line(_delta_integrand(x), params, tol).value

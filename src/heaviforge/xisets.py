@@ -54,6 +54,8 @@ __all__ = [
 
 FiniteSet = frozenset
 EMPTY_SET: frozenset = frozenset()
+MAX_PAIRS = 100_000  # component pairs one xi-set operation may build
+MAX_GRANDI_TERMS = 1_000_000
 
 
 def atom_key(atom):
@@ -132,6 +134,9 @@ def xi_cup(a: Iterable[Hashable], b: Iterable[Hashable]) -> XiSet:
 
 
 def _pairwise(x: XiSet, y: XiSet, op) -> XiSet:
+    pairs = x.xi_class * y.xi_class
+    if pairs > MAX_PAIRS:
+        raise ValueError(f"xi-set operation over {pairs} component pairs exceeds the cap of {MAX_PAIRS}")
     return XiSet(tuple(op(cx, cy) for cx in x.components for cy in y.components))
 
 
@@ -218,6 +223,16 @@ class ChainResult:
     dangling: frozenset | None
 
 
+def _fold(acc: frozenset, step, times: int) -> frozenset:
+    """Apply ``step`` up to ``times`` times, ending early at a fixed point."""
+    for _ in range(times):
+        nxt = step(acc)
+        if nxt == acc:
+            break
+        acc = nxt
+    return acc
+
+
 def eval_chain(chain: SetExprChain) -> ChainResult:
     """Evaluate the chain under its bracketing strategy, by actual folding.
 
@@ -225,16 +240,14 @@ def eval_chain(chain: SetExprChain) -> ChainResult:
     Shifted regroups as G cap (P cup G) cap (P cup G) ... with the final P
     left dangling; since G is contained in P cup G this returns G -- in
     particular G itself for an empty partner, where Aligned returns theta.
+    Both folds reach their fixed point after one step, so any length costs
+    O(1) steps.
     """
     g, p = chain.base, chain.partner
     if chain.strategy is ChainStrategy.ALIGNED:
-        acc = g & p
-        for _ in range(chain.length - 1):
-            acc = acc | (g & p)
+        acc = _fold(g & p, lambda a: a | (g & p), chain.length - 1)
         return ChainResult(acc, chain.strategy, chain.length, None)
-    acc = g
-    for _ in range(chain.length - 1):
-        acc = acc & (p | g)
+    acc = _fold(g, lambda a: a & (p | g), chain.length - 1)
     return ChainResult(acc, chain.strategy, chain.length - 1, p)
 
 
@@ -245,8 +258,8 @@ def grandi_demo(k: int) -> tuple[list[int], Fraction]:
     ceil(k/2) / k, which tends to 1/2 -- the summation value the alternating
     chain analogy is built on.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
+    if not 1 <= k <= MAX_GRANDI_TERMS:
+        raise ValueError(f"k must lie in [1, {MAX_GRANDI_TERMS}], got {k!r}")
     sums: list[int] = []
     acc = 0
     for n in range(k):

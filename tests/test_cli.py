@@ -79,6 +79,26 @@ def test_non_finite_numbers_exit_2(args):
     assert "must be a finite real" in proc.stderr
 
 
+@pytest.mark.parametrize("args,rows", [
+    (("eval", "f", "-1e-3"), ["f(-0.001) raw="]),
+    (("table", "f", "-1e-3", "1e-3", "1e-3"), ["x,raw,snapped,backend_delta", "-0.001,", "0,", "0.001,"]),
+    (("plot", "f", "-2E+0", "-1e0", "1", "--format", "csv"), ["x,raw", "-2,", "-1,"]),
+])
+def test_negative_numbers_with_an_exponent_are_numbers(args, rows):
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) >= len(rows)
+    for line, start in zip(lines, rows):
+        assert line.startswith(start)
+
+
+def test_negative_exponent_option_value_still_checked():
+    proc = run_cli("eval", "f", "0.5", "--T", "-1e-3")
+    assert proc.returncode == 2
+    assert "half_line_T must be a positive real" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # table
 
@@ -255,6 +275,26 @@ def test_xiset_parse_error_exits_2():
     proc = run_cli("xiset", "{1} &")
     assert proc.returncode == 2
     assert "position" in proc.stderr
+
+
+def test_xiset_chain_of_any_length_returns_at_once():
+    # the fold ends at its fixed point; before, this length looped 10^11 times
+    proc = run_cli("xiset", "chain", "{1}", "{2}", "100000000000", "aligned", timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[:3] == ["result 0", "strategy aligned", "groups 100000000000"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (("xiset", "(" * 3000 + "{1}" + ")" * 3000), "parentheses nested deeper than 100 (at position 100)"),
+    (("xiset", " | ".join(["||".join(f"{{{i}}}" for i in range(400))] * 2)),
+     "xi-set operation over 160000 component pairs exceeds the cap of 100000"),
+    (("grandi", "1000001"), "k must lie in [1, 1000000], got 1000001"),
+])
+def test_oversized_xiset_and_grandi_inputs_exit_2(args, message):
+    proc = run_cli(*args, timeout=60)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_grandi_output():

@@ -30,6 +30,7 @@ CASES = {
     "plot_svg": (["plot", "H2", "-0.2", "0.2", "0.01"], 0),
     "plot_csv": (["plot", "rt", "-1", "1", "0.05", "--format", "csv", "--U", "50"], 0),
     "primes_200": (["primes", "200"], 0),
+    "primes_1000": (["primes", "1000"], 0),
     "primes_200_U2": (["primes", "200", "--U", "2"], 1),
     "primes_60_eps": (["primes", "60", "--eps", "0.05"], 1),
     "xiset": (["xiset", "{1}||{1,2} | {3}||0 & {1,3}||{2}"], 0),

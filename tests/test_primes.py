@@ -10,6 +10,7 @@ from heaviforge.primes import (
     pi_analytic,
     pi_sieve,
     plan_precision,
+    prime_chain,
     sigma0_analytic,
     sigma0_oracle,
 )
@@ -136,6 +137,21 @@ def test_pi_analytic_tracks_sieve_across_half_integers():
     while x <= 60.0:
         assert snap(pi_analytic(x, PLAN200), PLAN200.round_margin) == pi_sieve(x), x
         x += 0.5
+
+
+CHAIN_PLANS = [plan_precision(m) for m in (1, 2, 3, 60, 200)] + [
+    # the CLI's --U override: the band of H1 gates below exactly 1.0 is widest
+    dataclasses.replace(PLAN200, indicator_scale_U=U) for U in (2.0, 4.0)
+]
+
+
+@pytest.mark.parametrize("plan", CHAIN_PLANS, ids=lambda p: f"n{p.n_max}-U{p.indicator_scale_U:g}")
+def test_prime_chain_equals_the_scalar_definitions_bit_for_bit(plan):
+    sigma0, flags, pi = prime_chain(plan)
+    assert len(sigma0) == len(flags) == len(pi) == plan.n_max
+    for n in range(1, plan.n_max + 1):
+        expected = (sigma0_analytic(n, plan), fes(n, plan), pi_analytic(float(n), plan))
+        assert (sigma0[n - 1], flags[n - 1], pi[n - 1]) == expected, n
 
 
 def test_out_of_plan_errors():

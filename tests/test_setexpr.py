@@ -1,6 +1,6 @@
 import pytest
 
-from heaviforge.setexpr import SetExprError, evaluate
+from heaviforge.setexpr import MAX_DEPTH, SetExprError, evaluate
 from heaviforge.xisets import ChainResult, ChainStrategy, XiSet
 
 f = frozenset
@@ -38,6 +38,14 @@ def test_parentheses_group():
     result = evaluate("({1}||{2}) & {1}")
     assert result.components == (f({1}), f())
     assert result.xi_class == 2
+
+
+def test_nesting_is_capped_at_the_opening_paren():
+    assert evaluate("(" * MAX_DEPTH + "{1}" + ")" * MAX_DEPTH) == XiSet.of({1})
+    deeper = "(" * (MAX_DEPTH + 1) + "{1}" + ")" * (MAX_DEPTH + 1)
+    with pytest.raises(SetExprError, match="nested deeper") as info:
+        evaluate(deeper)
+    assert info.value.position == MAX_DEPTH
 
 
 def test_name_atoms():

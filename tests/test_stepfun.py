@@ -163,6 +163,13 @@ def test_delta_peak_is_quarter_scale():
     assert eval_delta(0.0, CutoffParams(half_line_T=100.0), QUAD) == pytest.approx(25.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("T", [1.0, 100.0])
+def test_delta_at_infinity_is_its_limit(T):
+    params = CutoffParams(half_line_T=T)
+    assert eval_delta(math.inf, params) == 0.0
+    assert eval_delta(-math.inf, params) == 0.0
+
+
 def test_delta_vanishes_away_from_origin():
     val = eval_delta(1.0, CutoffParams(half_line_T=100.0))
     assert abs(val) < 1e-40

@@ -7,6 +7,7 @@ import pytest
 from heaviforge.xisets import (
     ChainStrategy,
     EMPTY_SET,
+    MAX_PAIRS,
     MembershipMode,
     SetExprChain,
     XiSet,
@@ -152,6 +153,14 @@ def test_class_bound_on_random_pairs():
 
 # ---------------------------------------------------------------------------
 # membership
+
+def test_operations_refuse_more_pairs_than_the_cap():
+    side = int(MAX_PAIRS ** 0.5) + 1
+    x = XiSet(tuple(f({i}) for i in range(side)))
+    for op in (xi_union, xi_intersection, xi_difference):
+        with pytest.raises(ValueError, match="component pairs exceeds the cap"):
+            op(x, x)
+
 
 def test_membership_in_every_component():
     rep = membership(1, XiSet.of({1}, {1, 2}))

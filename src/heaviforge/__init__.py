@@ -48,6 +48,7 @@ from .primes import (
     fes,
     pi_analytic,
     pi_sieve,
+    pi_sieve_counts,
     plan_precision,
     prime_chain,
     sigma0_analytic,

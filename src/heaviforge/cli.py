@@ -20,7 +20,7 @@ import sys
 from typing import Sequence
 
 from .piecewise import InvalidInterval, InvalidSpec
-from .primes import pi_sieve, plan_precision, prime_chain, sigma0_oracle
+from .primes import pi_sieve_counts, plan_precision, prime_chain, sigma0_oracle
 from .quadrature import CutoffParams, QuadratureError
 from .setexpr import SetExprError, evaluate
 from .stepfun import Backend, StepKind, eval_c, eval_delta, eval_f, eval_q, eval_rt, eval_step, eval_u, snap
@@ -212,10 +212,10 @@ def _cmd_primes(args, params: CutoffParams) -> int:
 
     lines = ["n,sigma0_analytic,sigma0_exact,fes_snapped,pi_analytic,pi_sieve,match"]
     mismatches = 0
-    for n, sig, flag, pi_raw in zip(range(1, n_max + 1), *prime_chain(plan)):
+    rows = zip(range(1, n_max + 1), *prime_chain(plan), pi_sieve_counts(n_max))
+    for n, sig, flag, pi_raw, pi_exact in rows:
         sig_exact = sigma0_oracle(n)
         fes_snapped = snap(flag, margin)
-        pi_exact = pi_sieve(float(n))
         ok = (
             round(sig) == sig_exact
             and fes_snapped == (1.0 if sig_exact == 2 else 0.0)

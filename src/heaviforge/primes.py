@@ -5,7 +5,8 @@ The chain: sigma0(n) sums the zero indicator rt(sin(pi (n mod i) / i)) over
 i = 1..n, so divisor terms contribute exactly 1 and the rest leak at most
 e^{-U sin^2(pi/n_max)} each; fes(n) = rt(sigma0(n) - 2) flags the primes
 (exactly two divisors); pi(x) accumulates fes(i) H1(x - i).
-:func:`prime_chain` computes all three for n = 1..n_max, each value once.
+:func:`prime_chain` computes all three for n = 1..n_max in near-linear time,
+bit for bit equal to the scalar definitions.
 
 Truncating sigma0's sum at i = n is exact, not an approximation: no divisor
 of n exceeds n.  Do NOT extend the sum numerically past n -- sin(pi n / i)
@@ -22,6 +23,7 @@ that margin.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +39,7 @@ __all__ = [
     "fes",
     "pi_analytic",
     "pi_sieve",
+    "pi_sieve_counts",
     "prime_chain",
 ]
 
@@ -129,15 +132,14 @@ def fes(n: int, plan: PrecisionPlan) -> float:
     return _prime_flag(sigma0_analytic(n, plan), plan)
 
 
-def _gated_count(flags, gates) -> float:
-    """Sum of flag * gate, added left to right from 0.0.
+def _gated_count(flags, gates, total: float = 0.0) -> float:
+    """``total`` plus the sum of flag * gate, added left to right.
 
     The order is part of the result: :func:`prime_chain` reproduces
     :func:`pi_analytic` bit for bit only because both add the same terms in
     the same order.  (``sum`` compensates from Python 3.12 on, which would
     change the last bits.)
     """
-    total = 0.0
     for flag, gate in zip(flags, gates):
         total += flag * gate
     return total
@@ -162,31 +164,71 @@ def prime_chain(plan: PrecisionPlan) -> tuple[list[float], list[float], list[flo
     """``(sigma0, fes, pi)`` for n = 1..plan.n_max, entry n - 1 for n.
 
     Equal bit for bit to ``sigma0_analytic(n)``, ``fes(n)`` and
-    ``pi_analytic(float(n))``, but each value is computed once: sigma0 and
-    its prime flag once per n, and H1 once per integer offset k = n - i
-    (float(n) - i is exactly float(n - i) at these sizes).
+    ``pi_analytic(float(n))``, but it skips the divisor terms that are
+    exactly 0.0 and multiplies no flag by a gate that is exactly 1.0:
+
+    - sigma0: for each i in ascending order, the term of residue r is
+      computed once and added to every n = i + r, 2i + r, ... <= n_max.
+      Each n thus receives the scalar loop's terms in the scalar loop's
+      order, minus the terms that underflow to +0.0.
+    - pi: H1 is computed once per integer offset k = n - i (float(n) - i is
+      exactly float(n - i) at these sizes).  From some offset K on every
+      gate is exactly 1.0, so the terms i <= n - K add up to a prefix sum
+      of the flags (``itertools.accumulate`` adds in sequence, like the
+      scalar loop); the at most K + 1 remaining terms follow, left to right.
     """
-    n_max = plan.n_max
-    sigma0 = [sigma0_analytic(n, plan) for n in range(1, n_max + 1)]
+    n_max, params = plan.n_max, plan.cutoffs
+    # sin(pi m / i) >= 2 m / i for m = min(r, i - r) <= i / 2, so once
+    # 4 U m^2 >= 800 i^2 the exponent -U sin^2 lies below -800, far enough
+    # below -745.13, under which math.exp returns exactly +0.0, to absorb the
+    # rounding of sin and of the products.  Adding +0.0 leaves a non-negative
+    # total unchanged, so the residues past this band change no bit.
+    band = math.sqrt(200.0 / params.indicator_scale_U)
+    totals = [0.0] * (n_max + 1)  # totals[n] = sigma0(n); entry 0 unused
+    for i in range(1, n_max + 1):
+        m = min(i // 2, math.ceil(i * band))  # largest m whose term may be nonzero
+        high = range(max(m + 1, i - m), i)  # residues r = i - m' with m' <= m
+        for r in itertools.chain(range(m + 1), high):
+            if i + r > n_max:
+                break
+            term = eval_rt(math.sin(math.pi * r / i), params)
+            for n in range(i + r, n_max + 1, i):
+                totals[n] += term
+    sigma0 = totals[1:]
     flags = [_prime_flag(s, plan) for s in sigma0]
     # gates[j] = H1(n_max - 1 - j), offsets n_max - 1 down to -1; pi(n) pairs
-    # flag i with gate n - i from j = n_max - n on, and zip stops after
-    # min(n + 1, n_max) terms, the cap of pi_analytic
-    gates = [eval_step(StepKind.H1, float(k), plan.cutoffs) for k in range(n_max - 1, -2, -1)]
-    pi = [_gated_count(flags, gates[n_max - n :]) for n in range(1, n_max + 1)]
+    # flag i with gate n - i from j = n_max - n on, and min(n + 1, n_max)
+    # terms in all, the cap of pi_analytic
+    gates = [eval_step(StepKind.H1, float(k), params) for k in range(n_max - 1, -2, -1)]
+    # every gate of offset >= K is exactly 1.0: K is read off the gates
+    K = 1 + max((n_max - 1 - j for j, gate in enumerate(gates) if gate != 1.0), default=-1)
+    prefix = [0.0, *itertools.accumulate(flags)]  # prefix[h] = flags[0] + ... + flags[h - 1]
+    pi = []
+    for n in range(1, n_max + 1):
+        h = max(n - K, 0)  # flags 1..h meet gates of offset >= K, all exactly 1.0
+        pi.append(_gated_count(flags[h:], gates[n_max - n + h :], prefix[h]))
     return sigma0, flags, pi
+
+
+def _sieve(limit: int) -> bytearray:
+    """Primality flags for 0..limit by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = bytes(min(2, limit + 1))  # 0 and 1 are not prime
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+    return flags
 
 
 def pi_sieve(x: float) -> int:
     """Exact count of primes <= x by the sieve of Eratosthenes."""
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x!r}")
-    limit = int(math.floor(x))
-    if limit < 2:
-        return 0
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return sum(flags)
+    return sum(_sieve(int(math.floor(x))))
+
+
+def pi_sieve_counts(n_max: int) -> list[int]:
+    """Exact prime counts pi(n) for n = 1..n_max, entry n - 1 for n, from one sieve."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    return list(itertools.accumulate(_sieve(n_max)))[1:]

@@ -257,5 +257,10 @@ def eval_delta(
     if backend is Backend.CLOSED_FORM:
         if math.isinf(x):
             return 0.0  # the limit of both terms; x e^{-T x^2} would be inf * 0
-        return T * _density(T * x) - 2.0 * T * x * math.exp(-T * x * x)
+        value = T * _density(T * x) - 2.0 * T * x * math.exp(-T * x * x)
+        if math.isfinite(value):
+            return value
+        # 2 T (or 2 T x) overflowed; x e^{-T x^2} first, T last stays finite,
+        # since 2 T x e^{-T x^2} peaks at sqrt(2 T / e)
+        return T * _density(T * x) - x * math.exp(-T * x * x) * 2.0 * T
     return integrate_half_line(_delta_integrand(x), params, tol).value

@@ -47,6 +47,16 @@ def test_eval_delta_peak():
     assert float(parse_kv(proc.stdout.splitlines()[0])["raw"]) == 25.0
 
 
+@pytest.mark.parametrize("x,zero", [("1", True), ("1e-200", False)])
+def test_eval_delta_with_huge_T_stays_finite(x, zero):
+    # 2 T overflows at T = 1e308; it printed raw=nan for x = 1 and raw=-inf for 1e-200
+    proc = run_cli("eval", "delta", x, "--T", "1e308")
+    assert proc.returncode == 0
+    raw = float(parse_kv(proc.stdout.splitlines()[0])["raw"])
+    assert math.isfinite(raw)
+    assert (raw == 0.0) is zero
+
+
 def test_eval_unknown_function_exits_2():
     proc = run_cli("eval", "nope", "1")
     assert proc.returncode == 2
@@ -216,6 +226,13 @@ def test_primes_full_range_has_no_mismatches():
     assert proc.returncode == 0
     assert "mismatches=0 of 200" in proc.stderr
     assert all(line.endswith(",1") for line in proc.stdout.strip().split("\n")[1:])
+
+
+def test_primes_largest_range_has_no_mismatches():
+    # no timing bound: the 60-s timeout only catches a return to quadratic time
+    proc = run_cli("primes", "10000", timeout=60)
+    assert proc.returncode == 0
+    assert "mismatches=0 of 10000" in proc.stderr
 
 
 def test_primes_inadequate_scale_exits_1():

@@ -32,6 +32,7 @@ CASES = {
     "primes_200": (["primes", "200"], 0),
     "primes_1000": (["primes", "1000"], 0),
     "primes_200_U2": (["primes", "200", "--U", "2"], 1),
+    "primes_500_U64": (["primes", "500", "--U", "64"], 1),
     "primes_60_eps": (["primes", "60", "--eps", "0.05"], 1),
     "xiset": (["xiset", "{1}||{1,2} | {3}||0 & {1,3}||{2}"], 0),
     "xiset_chain": (["xiset", "chain", "{1,2}", "0", "6", "shifted"], 0),

@@ -2,19 +2,23 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heaviforge.primes import (
     OutOfPlan,
     PrecisionPlan,
+    _gated_count,
     fes,
     pi_analytic,
     pi_sieve,
+    pi_sieve_counts,
     plan_precision,
     prime_chain,
     sigma0_analytic,
     sigma0_oracle,
 )
-from heaviforge.stepfun import snap
+from heaviforge.stepfun import StepKind, eval_step, snap
 
 
 def sieve_flags(limit):
@@ -97,6 +101,16 @@ def test_pi_sieve_counts_primes_at_noninteger_points():
     assert pi_sieve(1.9999) == 0
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3, 100])
+def test_pi_sieve_counts_is_pi_sieve_at_every_n(n_max):
+    assert pi_sieve_counts(n_max) == [pi_sieve(float(n)) for n in range(1, n_max + 1)]
+
+
+def test_pi_sieve_counts_rejects_an_empty_range():
+    with pytest.raises(ValueError):
+        pi_sieve_counts(0)
+
+
 # ---------------------------------------------------------------------------
 # the analytic chain against the oracles
 
@@ -152,6 +166,23 @@ def test_prime_chain_equals_the_scalar_definitions_bit_for_bit(plan):
     for n in range(1, plan.n_max + 1):
         expected = (sigma0_analytic(n, plan), fes(n, plan), pi_analytic(float(n), plan))
         assert (sigma0[n - 1], flags[n - 1], pi[n - 1]) == expected, n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n_max=st.integers(1, 150), U=st.floats(1.0, 2.0**24, exclude_min=True))
+@example(n_max=150, U=math.nextafter(1.0, 2.0))  # the widest band of H1 gates below 1.0
+@example(n_max=150, U=800.0)  # the last scale at which no divisor term is skipped
+@example(n_max=150, U=801.0)
+@example(n_max=150, U=2.0**24)
+def test_prime_chain_is_the_scalar_chain_for_any_scale(n_max, U):
+    plan = PrecisionPlan(n_max=n_max, indicator_scale_U=U, round_margin=0.25)
+    sigma0, flags, pi = prime_chain(plan)
+    for n in range(1, n_max + 1):
+        assert sigma0[n - 1] == sigma0_analytic(n, plan), n
+        assert flags[n - 1] == fes(n, plan), n
+        terms = range(1, min(n + 1, n_max) + 1)
+        gates = [eval_step(StepKind.H1, float(n - i), plan.cutoffs) for i in terms]
+        assert pi[n - 1] == _gated_count(flags[: len(terms)], gates), n
 
 
 def test_out_of_plan_errors():

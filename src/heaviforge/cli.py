@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -23,7 +24,9 @@ from .piecewise import InvalidInterval, InvalidSpec
 from .primes import pi_sieve_counts, plan_precision, prime_chain, sigma0_oracle
 from .quadrature import CutoffParams, QuadratureError
 from .setexpr import SetExprError, evaluate
-from .stepfun import Backend, StepKind, eval_c, eval_delta, eval_f, eval_q, eval_rt, eval_step, eval_u, snap
+from .stepfun import (
+    Backend, StepKind, eval_c, eval_delta, eval_f, eval_q, eval_quadrature, eval_rt, eval_step, eval_u, snap,
+)
 from .xisets import ChainResult, XiSet, atom_key, format_finite_set, grandi_demo, membership
 
 USAGE_ERROR = 2
@@ -60,6 +63,7 @@ def _finite(text: str) -> float:
     return value
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--T", type=_finite, default=100.0, help="half-line cutoff (default 100)")
@@ -137,12 +141,13 @@ def _cmd_eval(args, params: CutoffParams) -> int:
 
 def _table_rows(args, params: CutoffParams) -> list[str]:
     fn = _FUNCTIONS[args.function]
+    xs = _grid(args.start, args.stop, args.step)
+    quads = eval_quadrature(args.function, xs, params, args.tol)
     lines = ["x,raw,snapped,backend_delta"]
-    for x in _grid(args.start, args.stop, args.step):
+    for x, quad in zip(xs, quads):
         raw = fn(x, params, Backend.CLOSED_FORM, args.tol)
-        quad = fn(x, params, Backend.QUADRATURE, args.tol)
         snapped = snap(raw, args.snap_atol)
-        lines.append(f"{_fmt(x)},{_fmt(raw)},{_fmt(snapped)},{_fmt(abs(quad - raw))}")
+        lines.append(f"{_fmt(x)},{_fmt(raw)},{_fmt(snapped)},{_fmt(abs(quad.value - raw))}")
     return lines
 
 

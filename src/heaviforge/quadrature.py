@@ -16,13 +16,18 @@ panel is split, so the refinement trajectory depends only on the integrand
 are evaluated on whole waves at once and must therefore accept a 1-D numpy
 array and return an array of the same shape (``numpy.vectorize`` adapts any
 scalar function).
+
+The ``*_rows`` entry points integrate one integrand per x over a column of
+x values.  The seed panels do not depend on x, so a chunk of rows shares
+one call for its first wave; each row still over ``tol`` then refines
+alone.  Every row's result, budget and failure are the one-row call's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,7 +38,9 @@ __all__ = [
     "NonFiniteIntegrand",
     "ToleranceNotReached",
     "integrate_half_line",
+    "integrate_half_line_rows",
     "integrate_tan_interval",
+    "integrate_tan_interval_rows",
     "integrate_interval",
     "DEFAULT_EVAL_BUDGET",
 ]
@@ -144,21 +151,38 @@ _GAUSS_WEIGHTS[1::2] = [
 ]
 
 _SPLIT_FACTOR = 16.0  # split every panel within this factor of the worst one
+# Integrand points per seed wave of a chunk of rows (16 rows of the 46
+# half-line seed panels): bounds the (rows x points) temporaries.  Twice
+# this was no faster on a table and raised its peak memory; half was slower.
+_CHUNK_POINTS = 11_520
 
 
-def _panel_rule(f, left, right):
-    """Apply GK15 to each panel; returns (k15, est, points_evaluated)."""
+def _panel_rule(f, left, right, rows):
+    """Apply GK15 to each panel for each of ``rows`` rows.
+
+    Returns (k15, est, finite): the first two of shape (rows, panels), and
+    whether each row's sampled values were all finite.  A row that was not
+    is zeroed first, so its NaN or inf neither spreads nor warns; the
+    caller raises when it reaches that row.
+    """
     half = 0.5 * (right - left)
     center = 0.5 * (right + left)
     pts = center[:, None] + half[:, None] * _GK_NODES[None, :]
     vals = np.asarray(f(pts.ravel()), dtype=float)
-    vals = np.broadcast_to(vals, pts.ravel().shape).reshape(pts.shape)
-    if not np.isfinite(vals).all():
-        raise NonFiniteIntegrand("integrand returned NaN or inf at a sampled point")
+    if vals.size != rows * pts.size:  # an integrand may return a scalar
+        vals = np.broadcast_to(vals, (rows, pts.size))
+    vals = vals.reshape(rows, *pts.shape)
+    finite = np.isfinite(vals).all(axis=(1, 2))
+    if not finite.all():
+        vals = np.where(finite[:, None, None], vals, 0.0)
     k15 = (vals @ _GK_WEIGHTS) * half
     g7 = (vals @ _GAUSS_WEIGHTS) * half
     est = np.abs(k15 - g7)
-    return k15, est, pts.size
+    return k15, est, finite
+
+
+def _non_finite() -> NonFiniteIntegrand:
+    return NonFiniteIntegrand("integrand returned NaN or inf at a sampled point")
 
 
 def _sorted_panels(left, right, k15, est):
@@ -166,14 +190,11 @@ def _sorted_panels(left, right, k15, est):
     return left[order], right[order], k15[order], est[order]
 
 
-def _adaptive(f, edges, tol, budget):
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise ValueError(f"tol must be a positive real, got {tol!r}")
-    edges = np.asarray(edges, dtype=float)
-    left, right = edges[:-1], edges[1:]
-    k15, est, used = _panel_rule(f, left, right)
-    evals = used
-
+def _refine(integrand_of, x, left, right, k15, est, evals, tol, budget):
+    """Wave loop of one row from its seed wave: split until the summed
+    estimate is within ``tol``.  The row's integrand is built on its first
+    split, so a row the seed wave settles costs no integrand."""
+    f = None
     while True:
         total_est = float(est.sum())
         value = float(k15.sum())
@@ -189,17 +210,52 @@ def _adaptive(f, edges, tol, budget):
         if evals + 30 * int(split.sum()) > budget:
             raise ToleranceNotReached(best)
 
+        if f is None:
+            f = integrand_of(x)
         mid = 0.5 * (left[split] + right[split])
         new_left = np.concatenate([left[split], mid])
         new_right = np.concatenate([mid, right[split]])
-        new_k15, new_est, used = _panel_rule(f, new_left, new_right)
-        evals += used
+        new_k15, new_est, finite = _panel_rule(f, new_left, new_right, 1)
+        if not finite[0]:
+            raise _non_finite()
+        evals += new_left.size * _GK_NODES.size
 
         left = np.concatenate([left[~split], new_left])
         right = np.concatenate([right[~split], new_right])
-        k15 = np.concatenate([k15[~split], new_k15])
-        est = np.concatenate([est[~split], new_est])
+        k15 = np.concatenate([k15[~split], new_k15[0]])
+        est = np.concatenate([est[~split], new_est[0]])
         left, right, k15, est = _sorted_panels(left, right, k15, est)
+
+
+def _adaptive(integrand_of, xs, edges, tol, budget) -> list[QuadratureResult]:
+    """Integrate ``integrand_of(x)`` over the panels ``edges`` for each x,
+    a chunk of rows per seed wave (see the module docstring)."""
+    if tol <= 0.0 or not math.isfinite(tol):
+        raise ValueError(f"tol must be a positive real, got {tol!r}")
+    column = np.asarray(xs, dtype=float).reshape(-1, 1)
+    edges = np.asarray(edges, dtype=float)
+    left, right = edges[:-1], edges[1:]
+    seed_evals = left.size * _GK_NODES.size
+    chunk = max(1, _CHUNK_POINTS // seed_evals)
+    results = []
+    for lo in range(0, len(column), chunk):
+        rows = column[lo:lo + chunk]
+        k15, est, finite = _panel_rule(integrand_of(rows), left, right, len(rows))
+        totals, values = est.sum(axis=1).tolist(), k15.sum(axis=1).tolist()
+        for r in range(len(rows)):
+            if not finite[r]:
+                raise _non_finite()
+            if totals[r] <= tol:
+                results.append(QuadratureResult(values[r], totals[r], seed_evals))
+            else:
+                results.append(_refine(integrand_of, rows[r:r + 1], left, right, k15[r], est[r],
+                                       seed_evals, tol, budget))
+    return results
+
+
+def _one_row(integrand, edges, tol, budget) -> QuadratureResult:
+    # a column of one placeholder x: the integrand takes no x
+    return _adaptive(lambda _rows: integrand, (0.0,), edges, tol, budget)[0]
 
 
 def _half_line_edges(T: float) -> np.ndarray:
@@ -232,7 +288,26 @@ def integrate_half_line(
     estimate.  Results are deterministic for fixed inputs.
     """
     params = params or CutoffParams()
-    return _adaptive(integrand, _half_line_edges(params.half_line_T), tol, budget)
+    return _one_row(integrand, _half_line_edges(params.half_line_T), tol, budget)
+
+
+def integrate_half_line_rows(
+    integrand_of: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    xs: Sequence[float],
+    params: CutoffParams | None = None,
+    tol: float = 1e-9,
+    *,
+    budget: int = DEFAULT_EVAL_BUDGET,
+) -> list[QuadratureResult]:
+    """:func:`integrate_half_line` of ``integrand_of(x)`` for every x in ``xs``.
+
+    ``integrand_of`` takes a column of x values (shape ``(rows, 1)``) and
+    returns an integrand whose values have shape ``(rows, len(t))``.  Each
+    row's result, and the budget it may spend, is the one-row call's, bit
+    for bit; the first failing row, in row order, raises.
+    """
+    params = params or CutoffParams()
+    return _adaptive(integrand_of, xs, _half_line_edges(params.half_line_T), tol, budget)
 
 
 def integrate_tan_interval(
@@ -248,7 +323,21 @@ def integrate_tan_interval(
     sec^2-type integrands vary over many orders of magnitude.
     """
     params = params or CutoffParams()
-    return _adaptive(integrand, _tan_edges(params.tan_interval_upper), tol, budget)
+    return _one_row(integrand, _tan_edges(params.tan_interval_upper), tol, budget)
+
+
+def integrate_tan_interval_rows(
+    integrand_of: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    xs: Sequence[float],
+    params: CutoffParams | None = None,
+    tol: float = 1e-9,
+    *,
+    budget: int = DEFAULT_EVAL_BUDGET,
+) -> list[QuadratureResult]:
+    """:func:`integrate_tan_interval` of ``integrand_of(x)`` for every x in
+    ``xs``, as :func:`integrate_half_line_rows` does on the half-line."""
+    params = params or CutoffParams()
+    return _adaptive(integrand_of, xs, _tan_edges(params.tan_interval_upper), tol, budget)
 
 
 def integrate_interval(
@@ -267,4 +356,4 @@ def integrate_interval(
     """
     if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
         raise ValueError(f"need finite lower < upper, got [{lower!r}, {upper!r}]")
-    return _adaptive(integrand, np.linspace(lower, upper, 17), tol, budget)
+    return _one_row(integrand, np.linspace(lower, upper, 17), tol, budget)

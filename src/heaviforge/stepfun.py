@@ -29,13 +29,15 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .quadrature import (
     CutoffParams,
-    integrate_half_line,
-    integrate_tan_interval,
+    QuadratureResult,
+    integrate_half_line_rows,
+    integrate_tan_interval_rows,
 )
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
     "eval_rt",
     "eval_step",
     "eval_delta",
+    "eval_quadrature",
 ]
 
 DEFAULT_CUTOFFS = CutoffParams()
@@ -115,11 +118,14 @@ def _cubed_density_np(z):
     return out
 
 
-def _f_integrand(x: float):
+# Each factory takes a column of x (shape (rows, 1)); its integrand maps t
+# to values of shape (rows, len(t)).
+
+def _f_integrand(x):
     return lambda t: x * _density_np(x * t)
 
 
-def _u_integrand(x: float):
+def _u_integrand(x):
     x2 = x * x
     return lambda t: x2 * np.exp(-t * x2)
 
@@ -132,15 +138,81 @@ def _tan(integrand):
     return g
 
 
-def _delta_integrand(x: float):
+def _cube(x: float) -> float:
+    # Python's float ** (C pow), which numpy's power does not match in the
+    # last bit; an overflow gives the infinity the array arithmetic would
+    try:
+        return x ** 3
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _delta_integrand(x):
     # x-derivatives of the f and u integrands, f' - u':
     # e^{tx}(1 + tx)/(1+e^{tx})^2 - 2x e^{-t x^2}
     #   + 2 t x^3 e^{-t x^2} - 2 t x e^{2tx}/(1+e^{tx})^3
+    x3 = np.array([_cube(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
     def g(t):
         z = t * x
         return ((1.0 + z) * _density_np(z) - 2.0 * x * np.exp(-t * x * x)
-                + 2.0 * t * x ** 3 * np.exp(-t * x * x) - 2.0 * z * _cubed_density_np(z))
+                + 2.0 * t * x3 * np.exp(-t * x * x) - 2.0 * z * _cubed_density_np(z))
     return g
+
+
+def _c_integrand(x):
+    return _tan(_f_integrand(x))
+
+
+def _q_integrand(x):
+    return _tan(_u_integrand(x))
+
+
+def _h1_integrand(x):
+    f_int, u_int = _f_integrand(x), _u_integrand(x)
+    return _tan(lambda u: f_int(u) - 0.5 * u_int(u))
+
+
+# function name -> (integrator over a column of x, integrand factory,
+#                   the function's value from the integral, None if the same)
+_QUADRATURE = {
+    "f": (integrate_half_line_rows, _f_integrand, None),
+    "c": (integrate_tan_interval_rows, _c_integrand, None),
+    "u": (integrate_half_line_rows, _u_integrand, None),
+    "q": (integrate_tan_interval_rows, _q_integrand, None),
+    "rt": (integrate_tan_interval_rows, _q_integrand, lambda v: 1.0 - v),
+    "H2": (integrate_tan_interval_rows, _c_integrand, lambda v: 0.5 + v),
+    "H1": (integrate_tan_interval_rows, _h1_integrand, lambda v: 1.0 + v),
+    "delta": (integrate_half_line_rows, _delta_integrand, None),
+}
+
+
+def eval_quadrature(
+    name: str,
+    xs: Sequence[float],
+    params: CutoffParams | None = None,
+    tol: float = 1e-9,
+) -> list[QuadratureResult]:
+    """Quadrature backend of the function ``name`` at every x in ``xs``.
+
+    ``name`` is one of ``"f"``, ``"c"``, ``"u"``, ``"q"``, ``"rt"``,
+    ``"H1"``, ``"H2"``, ``"delta"``, the CLI's names.  Each
+    result's ``value`` is the function's value; its error estimate and
+    evaluation count are those of the integral behind it.  The rows are
+    integrated in chunks, and a row's result does not depend on its chunk:
+    it equals the scalar ``eval_*(x, params, Backend.QUADRATURE, tol)`` bit
+    for bit.  The first failing row, in row order, raises its
+    :class:`QuadratureError`.
+    """
+    integrate, integrand_of, finish = _QUADRATURE[name]
+    results = integrate(integrand_of, xs, params or DEFAULT_CUTOFFS, tol)
+    if finish is None:
+        return results
+    return [QuadratureResult(finish(r.value), r.abs_error_estimate, r.evaluations) for r in results]
+
+
+def _quadrature_value(name: str, x: float, params: CutoffParams, tol: float) -> float:
+    return eval_quadrature(name, (x,), params, tol)[0].value
 
 
 # -- evaluators --------------------------------------------------------------
@@ -155,7 +227,7 @@ def eval_f(
     params = params or DEFAULT_CUTOFFS
     if backend is Backend.CLOSED_FORM:
         return _ramp(x * params.half_line_T)
-    return integrate_half_line(_f_integrand(x), params, tol).value
+    return _quadrature_value("f", x, params, tol)
 
 
 def eval_c(
@@ -168,7 +240,7 @@ def eval_c(
     params = params or DEFAULT_CUTOFFS
     if backend is Backend.CLOSED_FORM:
         return _ramp(x * params.indicator_scale_U)
-    return integrate_tan_interval(_tan(_f_integrand(x)), params, tol).value
+    return _quadrature_value("c", x, params, tol)
 
 
 def eval_u(
@@ -181,7 +253,7 @@ def eval_u(
     params = params or DEFAULT_CUTOFFS
     if backend is Backend.CLOSED_FORM:
         return -math.expm1(-params.half_line_T * x * x)
-    return integrate_half_line(_u_integrand(x), params, tol).value
+    return _quadrature_value("u", x, params, tol)
 
 
 def eval_q(
@@ -194,7 +266,7 @@ def eval_q(
     params = params or DEFAULT_CUTOFFS
     if backend is Backend.CLOSED_FORM:
         return -math.expm1(-params.indicator_scale_U * x * x)
-    return integrate_tan_interval(_tan(_u_integrand(x)), params, tol).value
+    return _quadrature_value("q", x, params, tol)
 
 
 def eval_rt(
@@ -207,7 +279,7 @@ def eval_rt(
     params = params or DEFAULT_CUTOFFS
     if backend is Backend.CLOSED_FORM:
         return math.exp(-params.indicator_scale_U * x * x)
-    return 1.0 - integrate_tan_interval(_tan(_u_integrand(x)), params, tol).value
+    return _quadrature_value("rt", x, params, tol)
 
 
 def eval_step(
@@ -229,11 +301,7 @@ def eval_step(
         if kind is StepKind.H2:
             return h2
         return h2 + 0.5 * math.exp(-U * x * x)
-    if kind is StepKind.H2:
-        return 0.5 + integrate_tan_interval(_tan(_f_integrand(x)), params, tol).value
-    f_int, u_int = _f_integrand(x), _u_integrand(x)
-    combined = _tan(lambda u: f_int(u) - 0.5 * u_int(u))
-    return 1.0 + integrate_tan_interval(combined, params, tol).value
+    return _quadrature_value(kind.value, x, params, tol)
 
 
 def eval_delta(
@@ -263,4 +331,4 @@ def eval_delta(
         # 2 T (or 2 T x) overflowed; x e^{-T x^2} first, T last stays finite,
         # since 2 T x e^{-T x^2} peaks at sqrt(2 T / e)
         return T * _density(T * x) - x * math.exp(-T * x * x) * 2.0 * T
-    return integrate_half_line(_delta_integrand(x), params, tol).value
+    return _quadrature_value("delta", x, params, tol)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import resource
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+
+from heaviforge import cli
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SRC = os.path.join(ROOT, "src")
@@ -21,6 +25,36 @@ def run_cli(*args, **kwargs):
 
 def parse_kv(line):
     return dict(part.split("=", 1) for part in line.split() if "=" in part)
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_process_runs_commands_as_fresh_processes_do(monkeypatch):
+    # the parser is built once per process; usage errors between commands
+    # must leave it as it was
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    argvs = [
+        ["eval", "H1", "0"],
+        ["eval", "nope", "0"],
+        ["table", "delta", "-0.1", "0.1", "0.05", "--tol", "1e-12"],
+        ["table", "f", "1", "0", "0.1"],
+        ["plot", "rt", "-1", "1", "0.5", "--format", "csv", "--U", "50"],
+        ["eval", "f", "-1e-3", "--T", "inf"],
+        ["xiset", "{1,2}||{3} | {4}||0"],
+        ["eval", "c", "-1e-3", "--eps", "0.1"],
+    ]
+    for argv in argvs:
+        proc = run_cli(*argv)
+        assert run_in_process(argv) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert cli._build_parser() is cli._build_parser()
 
 
 # ---------------------------------------------------------------------------

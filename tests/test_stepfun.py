@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heaviforge import cli, quadrature, stepfun
 from heaviforge.quadrature import CutoffParams, integrate_interval
 from heaviforge.stepfun import (
     Backend,
@@ -11,6 +14,7 @@ from heaviforge.stepfun import (
     eval_delta,
     eval_f,
     eval_q,
+    eval_quadrature,
     eval_rt,
     eval_step,
     eval_u,
@@ -23,6 +27,7 @@ CLOSED = Backend.CLOSED_FORM
 T50 = CutoffParams(half_line_T=50.0)
 U50 = CutoffParams(indicator_scale_U=50.0)
 BOTH50 = CutoffParams(half_line_T=50.0, indicator_scale_U=50.0)
+FUNCTIONS = ("f", "c", "u", "q", "rt", "H1", "H2", "delta")
 
 
 def logistic_tail(z):
@@ -242,3 +247,144 @@ def test_snap():
     assert snap(math.inf) == math.inf
     assert snap(7e-10) == 0.0  # default tolerance 1e-9
     assert snap(7e-10, 0.0) == 7e-10
+
+
+# ---------------------------------------------------------------------------
+# batched quadrature: one seed wave per chunk of rows
+
+def _reference_adaptive(f, edges, tol, budget=quadrature.DEFAULT_EVAL_BUDGET):
+    """The per-row wave loop, one integrand call per wave, as it ran before
+    rows were batched; the batched column must match it bit for bit."""
+    def panel_rule(left, right):
+        half = 0.5 * (right - left)
+        pts = (0.5 * (right + left))[:, None] + half[:, None] * quadrature._GK_NODES[None, :]
+        vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+        assert np.isfinite(vals).all()
+        k15 = (vals @ quadrature._GK_WEIGHTS) * half
+        return k15, np.abs(k15 - (vals @ quadrature._GAUSS_WEIGHTS) * half), pts.size
+
+    left, right = edges[:-1], edges[1:]
+    k15, est, evals = panel_rule(left, right)
+    while float(est.sum()) > tol:
+        floor = 8.0 * np.finfo(float).eps * np.maximum(np.abs(left), np.abs(right))
+        split = (est >= est.max() / 16.0) & (right - left > floor)
+        assert split.any() and evals + 30 * int(split.sum()) <= budget
+        mid = 0.5 * (left[split] + right[split])
+        new_left, new_right = np.concatenate([left[split], mid]), np.concatenate([mid, right[split]])
+        new_k15, new_est, used = panel_rule(new_left, new_right)
+        evals += used
+        left = np.concatenate([left[~split], new_left])
+        right = np.concatenate([right[~split], new_right])
+        k15 = np.concatenate([k15[~split], new_k15])
+        est = np.concatenate([est[~split], new_est])
+        order = np.argsort(left, kind="stable")
+        left, right, k15, est = left[order], right[order], k15[order], est[order]
+    return float(k15.sum()), float(est.sum()), evals
+
+
+def _reference_delta_integrand(x: float):
+    # at a Python float x, so that x ** 3 is Python's pow, not numpy's power
+    def g(t):
+        z = t * x
+        return ((1.0 + z) * stepfun._density_np(z) - 2.0 * x * np.exp(-t * x * x)
+                + 2.0 * t * x ** 3 * np.exp(-t * x * x) - 2.0 * z * stepfun._cubed_density_np(z))
+    return g
+
+
+def _reference_row(name, x, params, tol):
+    integrate, integrand_of, finish = stepfun._QUADRATURE[name]
+    if integrate is quadrature.integrate_half_line_rows:
+        edges = quadrature._half_line_edges(params.half_line_T)
+    else:
+        edges = quadrature._tan_edges(params.tan_interval_upper)
+    # the other factories take a float x as well as a column
+    f = _reference_delta_integrand(x) if name == "delta" else integrand_of(x)
+    value, err, evals = _reference_adaptive(f, edges, tol)
+    return (value if finish is None else finish(value)), err, evals
+
+
+def _as_tuples(results):
+    return [(r.value, r.abs_error_estimate, r.evaluations) for r in results]
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+@pytest.mark.parametrize("params,tol,grid,refines", [
+    (CutoffParams(), 1e-9, (-3.0, 3.0, 0.03), False),
+    (CutoffParams(half_line_T=25.0, tan_margin_eps=0.05), 1e-12, (-0.5, 0.5, 0.03125), False),
+    (CutoffParams(half_line_T=200.0, indicator_scale_U=512.0), 1e-12, (-8.0, 8.0, 0.25), True),
+])
+def test_batched_column_equals_one_row_calls(name, params, tol, grid, refines):
+    # every grid spans several chunks; on the last, rows of every function
+    # refine; on the first, numpy's x ** 3 differs from Python's in 7 rows
+    xs = cli._grid(*grid)
+    batched = _as_tuples(eval_quadrature(name, xs, params, tol))
+    one_row = _as_tuples(eval_quadrature(name, [x], params, tol)[0] for x in xs)
+    reference = [_reference_row(name, x, params, tol) for x in xs]
+    assert batched == one_row == reference
+    if refines:
+        assert len({evals for _, _, evals in batched}) > 1
+    scalar = {"H1": lambda x: eval_step(StepKind.H1, x, params, QUAD, tol),
+              "H2": lambda x: eval_step(StepKind.H2, x, params, QUAD, tol)}.get(
+        name, lambda x: cli._FUNCTIONS[name](x, params, QUAD, tol))
+    assert [scalar(x) for x in xs] == [value for value, _, _ in batched]
+
+
+def test_batched_column_raises_for_the_first_failing_row():
+    # u's integrand is NaN once x * x overflows; f's never is
+    good, bad = 1e150, 1e200
+    with pytest.raises(quadrature.NonFiniteIntegrand, match="NaN or inf"):
+        eval_quadrature("u", [good, good, bad, good], CutoffParams(), 1e-9)
+    assert len(eval_quadrature("f", [good, bad], CutoffParams(), 1e-9)) == 2
+    # a row that runs out of budget before a non-finite row raises first
+    with pytest.raises(quadrature.ToleranceNotReached):
+        eval_quadrature("u", [0.5, bad], CutoffParams(), 1e-300)
+    with pytest.raises(quadrature.NonFiniteIntegrand):
+        eval_quadrature("u", [bad, 0.5], CutoffParams(), 1e-300)
+
+
+def test_delta_quadrature_at_huge_x_fails_cleanly():
+    # x ** 3 overflowed as a Python float and escaped as an OverflowError
+    with pytest.raises(quadrature.NonFiniteIntegrand):
+        eval_delta(1e300, CutoffParams(), QUAD)
+
+
+# ---------------------------------------------------------------------------
+# properties of the documented promises
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    T=st.floats(1.0, 1000.0),
+    U=st.floats(1.0, 1024.0, exclude_min=True),
+    tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    start=st.floats(-8.0, -0.5),
+    stop=st.floats(0.0, 8.0),
+    rows=st.integers(17, 48),
+)
+def test_table_backends_agree(T, U, tol, start, stop, rows):
+    # 17 or more rows cross a chunk boundary on both domains
+    params = CutoffParams(half_line_T=T, indicator_scale_U=U)
+    xs = cli._grid(start, stop, (stop - start) / (rows - 1))
+    for name in FUNCTIONS:
+        closed = cli._FUNCTIONS[name]
+        for x, quad in zip(xs, eval_quadrature(name, xs, params, tol)):
+            raw = closed(x, params, CLOSED, tol)
+            assert abs(quad.value - raw) <= tol + 256 * 2.0**-52 * max(1.0, abs(raw)), (name, x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    x=st.floats(-1e3, 1e3),
+    T=st.floats(1e-3, 1e4),
+    U=st.floats(1.0, 1e6, exclude_min=True),
+)
+def test_exact_promises_of_the_closed_forms(x, T, U):
+    params = CutoffParams(half_line_T=T, indicator_scale_U=U)
+    assert eval_f(-x, params) == -eval_f(x, params)
+    assert eval_c(-x, params) == -eval_c(x, params)
+    h1, h2 = eval_step(StepKind.H1, x, params), eval_step(StepKind.H2, x, params)
+    assert h1 >= h2  # H1 may pass 1 just right of 0: H2 + rt/2 reaches about 1.36
+    for value in (h2, eval_u(x, params), eval_q(x, params), eval_rt(x, params)):
+        assert 0.0 <= value <= 1.0
+    assert eval_step(StepKind.H1, 0.0, params) == 1.0
+    assert eval_step(StepKind.H2, 0.0, params) == 0.5
+    assert eval_rt(0.0, params) == 1.0

@@ -15,10 +15,8 @@ from .quadrature import (
     QuadratureResult,
     ToleranceNotReached,
     integrate_half_line,
-    integrate_half_line_rows,
     integrate_interval,
     integrate_tan_interval,
-    integrate_tan_interval_rows,
 )
 from .stepfun import (
     Backend,
@@ -28,7 +26,6 @@ from .stepfun import (
     eval_delta,
     eval_f,
     eval_q,
-    eval_quadrature,
     eval_rt,
     eval_step,
     eval_u,

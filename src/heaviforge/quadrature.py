@@ -17,14 +17,16 @@ are evaluated on whole waves at once and must therefore accept a 1-D numpy
 array and return an array of the same shape (``numpy.vectorize`` adapts any
 scalar function).
 
-The ``*_rows`` entry points integrate one integrand per x over a column of
-x values.  The seed panels do not depend on x, so a chunk of rows shares
-one call for its first wave; each row still over ``tol`` then refines
-alone.  Every row's result, budget and failure are the one-row call's.
+A caller that integrates one integrand per x over many x can compute the
+seed wave of a whole chunk of rows in one integrand call
+(``_seed_waves``) and hand each row's to its ``integrate_*`` call as
+``seed_wave``; the row then refines alone, and its result is the one it
+would get without the hand-over, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -38,9 +40,7 @@ __all__ = [
     "NonFiniteIntegrand",
     "ToleranceNotReached",
     "integrate_half_line",
-    "integrate_half_line_rows",
     "integrate_tan_interval",
-    "integrate_tan_interval_rows",
     "integrate_interval",
     "DEFAULT_EVAL_BUDGET",
 ]
@@ -151,38 +151,65 @@ _GAUSS_WEIGHTS[1::2] = [
 ]
 
 _SPLIT_FACTOR = 16.0  # split every panel within this factor of the worst one
-# Integrand points per seed wave of a chunk of rows (16 rows of the 46
+# Integrand points per chunk of rows in _seed_waves (16 rows of the 46
 # half-line seed panels): bounds the (rows x points) temporaries.  Twice
 # this was no faster on a table and raised its peak memory; half was slower.
 _CHUNK_POINTS = 11_520
 
 
-def _panel_rule(f, left, right, rows):
-    """Apply GK15 to each panel for each of ``rows`` rows.
-
-    Returns (k15, est, finite): the first two of shape (rows, panels), and
-    whether each row's sampled values were all finite.  A row that was not
-    is zeroed first, so its NaN or inf neither spreads nor warns; the
-    caller raises when it reaches that row.
-    """
+def _gk_points(left, right):
+    """The GK15 abscissae of each panel, shape (panels, 15), and the panels'
+    half-widths."""
     half = 0.5 * (right - left)
     center = 0.5 * (right + left)
-    pts = center[:, None] + half[:, None] * _GK_NODES[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float)
-    if vals.size != rows * pts.size:  # an integrand may return a scalar
-        vals = np.broadcast_to(vals, (rows, pts.size))
-    vals = vals.reshape(rows, *pts.shape)
-    finite = np.isfinite(vals).all(axis=(1, 2))
-    if not finite.all():
-        vals = np.where(finite[:, None, None], vals, 0.0)
+    return center[:, None] + half[:, None] * _GK_NODES[None, :], half
+
+
+def _gk_sums(vals, half):
+    """(k15, est) per panel from values of shape (..., panels, 15)."""
     k15 = (vals @ _GK_WEIGHTS) * half
     g7 = (vals @ _GAUSS_WEIGHTS) * half
-    est = np.abs(k15 - g7)
-    return k15, est, finite
+    return k15, np.abs(k15 - g7)
 
 
-def _non_finite() -> NonFiniteIntegrand:
-    return NonFiniteIntegrand("integrand returned NaN or inf at a sampled point")
+def _panel_rule(f, left, right):
+    """Apply GK15 to each panel; returns (k15, est, points_evaluated)."""
+    pts, half = _gk_points(left, right)
+    vals = np.asarray(f(pts.ravel()), dtype=float)
+    vals = np.broadcast_to(vals, pts.ravel().shape).reshape(pts.shape)
+    if not np.isfinite(vals).all():
+        raise NonFiniteIntegrand("integrand returned NaN or inf at a sampled point")
+    k15, est = _gk_sums(vals, half)
+    return k15, est, pts.size
+
+
+def _seed_waves(integrand_of, xs: Sequence[float], edges):
+    """Yield the seed wave (k15, est) over the panels ``edges`` of
+    ``integrand_of(x)`` for each x in ``xs``, one integrand call per chunk
+    of rows.
+
+    ``integrand_of`` takes a column of x, shape (rows, 1), and returns an
+    integrand whose values have shape (rows, len(t)).  A row gets None, and
+    evaluates its own seed wave, when its values are not all finite or when
+    the chunk's call would have reported a floating-point error under
+    numpy's error state: the one-row evaluation then fails and warns as it
+    would have, in row order.
+    """
+    pts, half = _gk_points(edges[:-1], edges[1:])
+    chunk = max(1, _CHUNK_POINTS // pts.size)
+    report = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    for lo in range(0, len(xs), chunk):
+        column = np.array(xs[lo:lo + chunk], dtype=float).reshape(-1, 1)
+        try:
+            with np.errstate(**report):
+                vals = integrand_of(column)(pts.ravel()).reshape(len(column), *pts.shape)
+                k15, est = _gk_sums(vals, half)
+        except FloatingPointError:
+            yield from [None] * len(column)
+            continue
+        finite = np.isfinite(vals).all(axis=(1, 2))
+        for r in range(len(column)):
+            yield (k15[r], est[r]) if finite[r] else None
 
 
 def _sorted_panels(left, right, k15, est):
@@ -190,11 +217,19 @@ def _sorted_panels(left, right, k15, est):
     return left[order], right[order], k15[order], est[order]
 
 
-def _refine(integrand_of, x, left, right, k15, est, evals, tol, budget):
-    """Wave loop of one row from its seed wave: split until the summed
-    estimate is within ``tol``.  The row's integrand is built on its first
-    split, so a row the seed wave settles costs no integrand."""
-    f = None
+def _adaptive(f, edges, tol, budget, seed_wave=None):
+    if tol <= 0.0 or not math.isfinite(tol):
+        raise ValueError(f"tol must be a positive real, got {tol!r}")
+    edges = np.asarray(edges, dtype=float)
+    left, right = edges[:-1], edges[1:]
+    if seed_wave is None:
+        k15, est, evals = _panel_rule(f, left, right)
+    else:
+        k15, est = seed_wave
+        if k15.shape != left.shape or est.shape != left.shape:
+            raise ValueError(f"seed_wave must hold (k15, est) for each of the {left.size} seed panels")
+        evals = left.size * _GK_NODES.size
+
     while True:
         total_est = float(est.sum())
         value = float(k15.sum())
@@ -210,67 +245,38 @@ def _refine(integrand_of, x, left, right, k15, est, evals, tol, budget):
         if evals + 30 * int(split.sum()) > budget:
             raise ToleranceNotReached(best)
 
-        if f is None:
-            f = integrand_of(x)
         mid = 0.5 * (left[split] + right[split])
         new_left = np.concatenate([left[split], mid])
         new_right = np.concatenate([mid, right[split]])
-        new_k15, new_est, finite = _panel_rule(f, new_left, new_right, 1)
-        if not finite[0]:
-            raise _non_finite()
-        evals += new_left.size * _GK_NODES.size
+        new_k15, new_est, used = _panel_rule(f, new_left, new_right)
+        evals += used
 
         left = np.concatenate([left[~split], new_left])
         right = np.concatenate([right[~split], new_right])
-        k15 = np.concatenate([k15[~split], new_k15[0]])
-        est = np.concatenate([est[~split], new_est[0]])
+        k15 = np.concatenate([k15[~split], new_k15])
+        est = np.concatenate([est[~split], new_est])
         left, right, k15, est = _sorted_panels(left, right, k15, est)
 
 
-def _adaptive(integrand_of, xs, edges, tol, budget) -> list[QuadratureResult]:
-    """Integrate ``integrand_of(x)`` over the panels ``edges`` for each x,
-    a chunk of rows per seed wave (see the module docstring)."""
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise ValueError(f"tol must be a positive real, got {tol!r}")
-    column = np.asarray(xs, dtype=float).reshape(-1, 1)
-    edges = np.asarray(edges, dtype=float)
-    left, right = edges[:-1], edges[1:]
-    seed_evals = left.size * _GK_NODES.size
-    chunk = max(1, _CHUNK_POINTS // seed_evals)
-    results = []
-    for lo in range(0, len(column), chunk):
-        rows = column[lo:lo + chunk]
-        k15, est, finite = _panel_rule(integrand_of(rows), left, right, len(rows))
-        totals, values = est.sum(axis=1).tolist(), k15.sum(axis=1).tolist()
-        for r in range(len(rows)):
-            if not finite[r]:
-                raise _non_finite()
-            if totals[r] <= tol:
-                results.append(QuadratureResult(values[r], totals[r], seed_evals))
-            else:
-                results.append(_refine(integrand_of, rows[r:r + 1], left, right, k15[r], est[r],
-                                       seed_evals, tol, budget))
-    return results
+def _read_only(edges: list[float]) -> np.ndarray:
+    edges = np.array(edges)
+    edges.flags.writeable = False  # cached: one array serves every call
+    return edges
 
 
-def _one_row(integrand, edges, tol, budget) -> QuadratureResult:
-    # a column of one placeholder x: the integrand takes no x
-    return _adaptive(lambda _rows: integrand, (0.0,), edges, tol, budget)[0]
-
-
+@functools.lru_cache(maxsize=64)
 def _half_line_edges(T: float) -> np.ndarray:
     # Seed panels shrinking geometrically toward t = 0, where the half-line
     # integrands concentrate their mass once the outer scale x grows.
-    edges = [0.0] + [T * 2.0 ** (-k) for k in range(45, -1, -1)]
-    return np.array(edges)
+    return _read_only([0.0] + [T * 2.0 ** (-k) for k in range(45, -1, -1)])
 
 
+@functools.lru_cache(maxsize=64)
 def _tan_edges(upper: float) -> np.ndarray:
     # Seed panels shrinking geometrically toward the singular endpoint
     # pi/2 - eps; under u = tan t each panel then spans a bounded factor in
     # u, which keeps sec^2-type growth resolvable.
-    edges = [upper - upper * 2.0 ** (-k) for k in range(0, 51)] + [upper]
-    return np.array(edges)
+    return _read_only([upper - upper * 2.0 ** (-k) for k in range(0, 51)] + [upper])
 
 
 def integrate_half_line(
@@ -279,6 +285,7 @@ def integrate_half_line(
     tol: float = 1e-9,
     *,
     budget: int = DEFAULT_EVAL_BUDGET,
+    seed_wave: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, T] with T = ``params.half_line_T``.
 
@@ -286,28 +293,13 @@ def integrate_half_line(
     abscissae.  On success ``abs_error_estimate <= tol``; if the evaluation
     budget runs out first, :class:`ToleranceNotReached` carries the best
     estimate.  Results are deterministic for fixed inputs.
+
+    ``seed_wave`` is the integrand's (k15, est) on the seed panels when it
+    was computed already (see the module docstring); the integrand is then
+    evaluated only on the waves after it.
     """
     params = params or CutoffParams()
-    return _one_row(integrand, _half_line_edges(params.half_line_T), tol, budget)
-
-
-def integrate_half_line_rows(
-    integrand_of: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
-    xs: Sequence[float],
-    params: CutoffParams | None = None,
-    tol: float = 1e-9,
-    *,
-    budget: int = DEFAULT_EVAL_BUDGET,
-) -> list[QuadratureResult]:
-    """:func:`integrate_half_line` of ``integrand_of(x)`` for every x in ``xs``.
-
-    ``integrand_of`` takes a column of x values (shape ``(rows, 1)``) and
-    returns an integrand whose values have shape ``(rows, len(t))``.  Each
-    row's result, and the budget it may spend, is the one-row call's, bit
-    for bit; the first failing row, in row order, raises.
-    """
-    params = params or CutoffParams()
-    return _adaptive(integrand_of, xs, _half_line_edges(params.half_line_T), tol, budget)
+    return _adaptive(integrand, _half_line_edges(params.half_line_T), tol, budget, seed_wave)
 
 
 def integrate_tan_interval(
@@ -316,28 +308,16 @@ def integrate_tan_interval(
     tol: float = 1e-9,
     *,
     budget: int = DEFAULT_EVAL_BUDGET,
+    seed_wave: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, pi/2 - eps] with eps = ``params.tan_margin_eps``.
 
     Panels are seeded geometrically toward the right endpoint, where
     sec^2-type integrands vary over many orders of magnitude.
+    ``seed_wave`` is as in :func:`integrate_half_line`.
     """
     params = params or CutoffParams()
-    return _one_row(integrand, _tan_edges(params.tan_interval_upper), tol, budget)
-
-
-def integrate_tan_interval_rows(
-    integrand_of: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
-    xs: Sequence[float],
-    params: CutoffParams | None = None,
-    tol: float = 1e-9,
-    *,
-    budget: int = DEFAULT_EVAL_BUDGET,
-) -> list[QuadratureResult]:
-    """:func:`integrate_tan_interval` of ``integrand_of(x)`` for every x in
-    ``xs``, as :func:`integrate_half_line_rows` does on the half-line."""
-    params = params or CutoffParams()
-    return _adaptive(integrand_of, xs, _tan_edges(params.tan_interval_upper), tol, budget)
+    return _adaptive(integrand, _tan_edges(params.tan_interval_upper), tol, budget, seed_wave)
 
 
 def integrate_interval(
@@ -356,4 +336,4 @@ def integrate_interval(
     """
     if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
         raise ValueError(f"need finite lower < upper, got [{lower!r}, {upper!r}]")
-    return _one_row(integrand, np.linspace(lower, upper, 17), tol, budget)
+    return _adaptive(integrand, np.linspace(lower, upper, 17), tol, budget)

@@ -36,8 +36,11 @@ import numpy as np
 from .quadrature import (
     CutoffParams,
     QuadratureResult,
-    integrate_half_line_rows,
-    integrate_tan_interval_rows,
+    _half_line_edges,
+    _seed_waves,
+    _tan_edges,
+    integrate_half_line,
+    integrate_tan_interval,
 )
 
 __all__ = [
@@ -118,8 +121,8 @@ def _cubed_density_np(z):
     return out
 
 
-# Each factory takes a column of x (shape (rows, 1)); its integrand maps t
-# to values of shape (rows, len(t)).
+# Each factory takes x as a float, or as a column of shape (rows, 1); its
+# integrand maps t to values of shape (len(t),), or (rows, len(t)).
 
 def _f_integrand(x):
     return lambda t: x * _density_np(x * t)
@@ -151,7 +154,7 @@ def _delta_integrand(x):
     # x-derivatives of the f and u integrands, f' - u':
     # e^{tx}(1 + tx)/(1+e^{tx})^2 - 2x e^{-t x^2}
     #   + 2 t x^3 e^{-t x^2} - 2 t x e^{2tx}/(1+e^{tx})^3
-    x3 = np.array([_cube(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    x3 = np.reshape([_cube(v) for v in np.ravel(x).tolist()], np.shape(x))
 
     def g(t):
         z = t * x
@@ -173,17 +176,18 @@ def _h1_integrand(x):
     return _tan(lambda u: f_int(u) - 0.5 * u_int(u))
 
 
-# function name -> (integrator over a column of x, integrand factory,
-#                   the function's value from the integral, None if the same)
+# function name -> (integrated over the half-line rather than the tangent
+#                   interval, integrand factory, the function's value from
+#                   the integral, None if the same)
 _QUADRATURE = {
-    "f": (integrate_half_line_rows, _f_integrand, None),
-    "c": (integrate_tan_interval_rows, _c_integrand, None),
-    "u": (integrate_half_line_rows, _u_integrand, None),
-    "q": (integrate_tan_interval_rows, _q_integrand, None),
-    "rt": (integrate_tan_interval_rows, _q_integrand, lambda v: 1.0 - v),
-    "H2": (integrate_tan_interval_rows, _c_integrand, lambda v: 0.5 + v),
-    "H1": (integrate_tan_interval_rows, _h1_integrand, lambda v: 1.0 + v),
-    "delta": (integrate_half_line_rows, _delta_integrand, None),
+    "f": (True, _f_integrand, None),
+    "c": (False, _c_integrand, None),
+    "u": (True, _u_integrand, None),
+    "q": (False, _q_integrand, None),
+    "rt": (False, _q_integrand, lambda v: 1.0 - v),
+    "H2": (False, _c_integrand, lambda v: 0.5 + v),
+    "H1": (False, _h1_integrand, lambda v: 1.0 + v),
+    "delta": (True, _delta_integrand, None),
 }
 
 
@@ -198,17 +202,25 @@ def eval_quadrature(
     ``name`` is one of ``"f"``, ``"c"``, ``"u"``, ``"q"``, ``"rt"``,
     ``"H1"``, ``"H2"``, ``"delta"``, the CLI's names.  Each
     result's ``value`` is the function's value; its error estimate and
-    evaluation count are those of the integral behind it.  The rows are
-    integrated in chunks, and a row's result does not depend on its chunk:
-    it equals the scalar ``eval_*(x, params, Backend.QUADRATURE, tol)`` bit
-    for bit.  The first failing row, in row order, raises its
-    :class:`QuadratureError`.
+    evaluation count are those of the integral behind it.  Each row is one
+    ``integrate_*`` call, but a chunk of rows shares one integrand call for
+    the seed wave; a row's result does not depend on its chunk: it equals
+    the scalar ``eval_*(x, params, Backend.QUADRATURE, tol)`` bit for bit.
+    The first failing row, in row order, raises its :class:`QuadratureError`.
     """
-    integrate, integrand_of, finish = _QUADRATURE[name]
-    results = integrate(integrand_of, xs, params or DEFAULT_CUTOFFS, tol)
-    if finish is None:
-        return results
-    return [QuadratureResult(finish(r.value), r.abs_error_estimate, r.evaluations) for r in results]
+    on_half_line, integrand_of, finish = _QUADRATURE[name]
+    params = params or DEFAULT_CUTOFFS
+    if on_half_line:
+        integrate, edges = integrate_half_line, _half_line_edges(params.half_line_T)
+    else:
+        integrate, edges = integrate_tan_interval, _tan_edges(params.tan_interval_upper)
+    results = []
+    for x, seed_wave in zip(xs, _seed_waves(integrand_of, xs, edges)):
+        result = integrate(integrand_of(x), params, tol, seed_wave=seed_wave)
+        if finish is not None:
+            result = QuadratureResult(finish(result.value), result.abs_error_estimate, result.evaluations)
+        results.append(result)
+    return results
 
 
 def _quadrature_value(name: str, x: float, params: CutoffParams, tol: float) -> float:

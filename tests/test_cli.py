@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -195,6 +196,20 @@ def test_table_rejects_oversized_grids(grid, monkeypatch):
     assert proc.returncode == 2
     assert "more than 1000000 rows" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("function", ["u", "H1"])
+def test_failing_table_stderr_is_one_warning_and_the_failure(function):
+    # the stderr of the row-by-row table before rows were batched, up to
+    # the file's path, line numbers and the quoted source lines
+    proc = run_cli("table", function, "-1e200", "1e200", "1e199")
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = [re.sub(r"^.*stepfun\.py:\d+:", "stepfun.py:", line)
+             for line in proc.stderr.splitlines() if not line.startswith("  ")]
+    assert lines == [
+        "stepfun.py: RuntimeWarning: invalid value encountered in multiply",
+        "heaviforge: quadrature failure: integrand returned NaN or inf at a sampled point",
+    ]
 
 
 def test_table_rejects_svg_format():

@@ -8,6 +8,8 @@ from heaviforge.quadrature import (
     NonFiniteIntegrand,
     QuadratureResult,
     ToleranceNotReached,
+    _half_line_edges,
+    _seed_waves,
     integrate_half_line,
     integrate_interval,
     integrate_tan_interval,
@@ -210,6 +212,25 @@ def test_deterministic_for_fixed_inputs():
     b = integrate_half_line(f, params, 1e-9)
     assert a.value == b.value
     assert a.evaluations == b.evaluations
+
+
+def test_handed_over_seed_wave_gives_the_same_result():
+    # a chunk's seed waves come from one integrand call over a column of
+    # scales; each is its row's own first wave
+    params = CutoffParams(half_line_T=30.0)
+    scales = [0.5, 5.0, 50.0, 500.0, 5000.0]
+    integrand_of = lambda x: (lambda t: x * density(x * t))
+    edges = _half_line_edges(params.half_line_T)
+    waves = list(_seed_waves(integrand_of, scales, edges))
+    for x, wave in zip(scales, waves):
+        f = integrand_of(x)
+        assert integrate_half_line(f, params, 1e-12, seed_wave=wave) == integrate_half_line(f, params, 1e-12)
+    with pytest.raises(ValueError, match="seed_wave"):
+        integrate_tan_interval(integrand_of(5.0), seed_wave=waves[1])  # 46 panels, not 51
+    # a chunk whose call would warn hands over nothing: each row evaluates,
+    # warns and fails by itself
+    with np.errstate(invalid="warn"):
+        assert list(_seed_waves(lambda x: (lambda t: np.sqrt(x - t)), [100.0, 1.0], edges)) == [None, None]
 
 
 def test_interval_helper():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,36 +253,6 @@ def test_snap():
 # ---------------------------------------------------------------------------
 # batched quadrature: one seed wave per chunk of rows
 
-def _reference_adaptive(f, edges, tol, budget=quadrature.DEFAULT_EVAL_BUDGET):
-    """The per-row wave loop, one integrand call per wave, as it ran before
-    rows were batched; the batched column must match it bit for bit."""
-    def panel_rule(left, right):
-        half = 0.5 * (right - left)
-        pts = (0.5 * (right + left))[:, None] + half[:, None] * quadrature._GK_NODES[None, :]
-        vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-        assert np.isfinite(vals).all()
-        k15 = (vals @ quadrature._GK_WEIGHTS) * half
-        return k15, np.abs(k15 - (vals @ quadrature._GAUSS_WEIGHTS) * half), pts.size
-
-    left, right = edges[:-1], edges[1:]
-    k15, est, evals = panel_rule(left, right)
-    while float(est.sum()) > tol:
-        floor = 8.0 * np.finfo(float).eps * np.maximum(np.abs(left), np.abs(right))
-        split = (est >= est.max() / 16.0) & (right - left > floor)
-        assert split.any() and evals + 30 * int(split.sum()) <= budget
-        mid = 0.5 * (left[split] + right[split])
-        new_left, new_right = np.concatenate([left[split], mid]), np.concatenate([mid, right[split]])
-        new_k15, new_est, used = panel_rule(new_left, new_right)
-        evals += used
-        left = np.concatenate([left[~split], new_left])
-        right = np.concatenate([right[~split], new_right])
-        k15 = np.concatenate([k15[~split], new_k15])
-        est = np.concatenate([est[~split], new_est])
-        order = np.argsort(left, kind="stable")
-        left, right, k15, est = left[order], right[order], k15[order], est[order]
-    return float(k15.sum()), float(est.sum()), evals
-
-
 def _reference_delta_integrand(x: float):
     # at a Python float x, so that x ** 3 is Python's pow, not numpy's power
     def g(t):
@@ -292,15 +263,13 @@ def _reference_delta_integrand(x: float):
 
 
 def _reference_row(name, x, params, tol):
-    integrate, integrand_of, finish = stepfun._QUADRATURE[name]
-    if integrate is quadrature.integrate_half_line_rows:
-        edges = quadrature._half_line_edges(params.half_line_T)
-    else:
-        edges = quadrature._tan_edges(params.tan_interval_upper)
-    # the other factories take a float x as well as a column
+    """One row as it ran before rows were batched: an ``integrate_*`` call
+    that evaluates its own seed wave, at a float x."""
+    on_half_line, integrand_of, finish = stepfun._QUADRATURE[name]
+    integrate = quadrature.integrate_half_line if on_half_line else quadrature.integrate_tan_interval
     f = _reference_delta_integrand(x) if name == "delta" else integrand_of(x)
-    value, err, evals = _reference_adaptive(f, edges, tol)
-    return (value if finish is None else finish(value)), err, evals
+    r = integrate(f, params, tol)
+    return (r.value if finish is None else finish(r.value)), r.abs_error_estimate, r.evaluations
 
 
 def _as_tuples(results):
@@ -340,6 +309,36 @@ def test_batched_column_raises_for_the_first_failing_row():
         eval_quadrature("u", [0.5, bad], CutoffParams(), 1e-300)
     with pytest.raises(quadrature.NonFiniteIntegrand):
         eval_quadrature("u", [bad, 0.5], CutoffParams(), 1e-300)
+
+
+@pytest.mark.parametrize("name,xs", [
+    ("u", [0.5, 1e150, -1e200, 1e200]),
+    ("H1", [0.0, 1e300, -1e300]),
+    ("delta", [1.0, 1e100, 1e102]),
+    ("f", [-1e300, 0.0, 1e300]),
+])
+def test_batched_column_warns_as_its_rows_one_by_one(name, xs):
+    # a chunk's shared seed call reports no floating-point error itself;
+    # every warning and the failure come from the rows, in row order
+    def record(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                fn()
+                failure = None
+            except quadrature.QuadratureError as exc:
+                failure = str(exc)
+        return failure, [(str(w.message), w.filename, w.lineno) for w in caught]
+
+    def one_by_one():
+        on_half_line, integrand_of, _ = stepfun._QUADRATURE[name]
+        integrate = quadrature.integrate_half_line if on_half_line else quadrature.integrate_tan_interval
+        for x in xs:
+            integrate(integrand_of(x), CutoffParams(), 1e-9)
+
+    batched = record(lambda: eval_quadrature(name, xs, CutoffParams(), 1e-9))
+    assert batched == record(one_by_one)
+    assert (batched[0] is None) == (name == "f")
 
 
 def test_delta_quadrature_at_huge_x_fails_cleanly():

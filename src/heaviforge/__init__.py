@@ -7,16 +7,13 @@ against one another and against exact combinatorial oracles.  A finite
 multi-valued set algebra rounds out the package.
 """
 
-from .quadrature import (
+from .cutoffs import (
     CutoffParams,
     DEFAULT_EVAL_BUDGET,
     NonFiniteIntegrand,
     QuadratureError,
     QuadratureResult,
     ToleranceNotReached,
-    integrate_half_line,
-    integrate_interval,
-    integrate_tan_interval,
 )
 from .stepfun import (
     Backend,
@@ -76,3 +73,15 @@ from .xisets import (
 from .setexpr import SetExprError, evaluate
 
 __version__ = "0.1.0"
+
+_QUADRATURE_EXPORTS = ("integrate_half_line", "integrate_interval", "integrate_tan_interval")
+
+
+def __getattr__(name):
+    # The integrators need numpy; importing the package loads it only once
+    # one of them is asked for.  Each read goes to ``quadrature`` afresh, so
+    # the package never holds a copy of its own.
+    if name in _QUADRATURE_EXPORTS:
+        from . import quadrature
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

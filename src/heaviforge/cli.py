@@ -1,11 +1,17 @@
 """Command-line front end.
 
-    heaviforge <subcommand> [args] [--T <real>] [--U <real>] [--eps <real>]
-               [--tol <real>] [--snap-atol <real>] [--out <path>]
-               [--format csv|svg]
+    heaviforge eval FUNCTION X [--T] [--U | --eps] [--tol] [--snap-atol]
+    heaviforge table FUNCTION START STOP STEP [--T] [--U | --eps] [--tol]
+                     [--snap-atol] [--out PATH] [--format csv]
+    heaviforge plot FUNCTION START STOP STEP [--T] [--U | --eps] [--out PATH]
+                    [--format csv|svg]
+    heaviforge primes N_MAX [--U | --eps] [--out PATH] [--format csv]
+    heaviforge xiset EXPR...
+    heaviforge grandi K
 
-Subcommands: eval, table, plot, primes, xiset, grandi.  Exit codes: 0 on
-success, 1 on a verification mismatch, 2 on usage or parse errors.  CSV uses
+Each subcommand takes only the options it honours.  Exit codes: 0 on
+success, 1 on a verification mismatch, 2 on usage or parse errors (an
+unknown option, or an --out path that cannot be written).  CSV uses
 comma delimiters, LF line ends, a mandatory header row, and 17 significant
 digits for raw values so identical invocations are byte-identical.
 """
@@ -20,12 +26,12 @@ import re
 import sys
 from typing import Sequence
 
+from .cutoffs import CutoffParams, QuadratureError
 from .piecewise import InvalidInterval, InvalidSpec
 from .primes import pi_sieve_counts, plan_precision, prime_chain, sigma0_oracle
-from .quadrature import CutoffParams, QuadratureError
 from .setexpr import SetExprError, evaluate
 from .stepfun import (
-    Backend, StepKind, eval_c, eval_delta, eval_f, eval_q, eval_quadrature, eval_rt, eval_step, eval_u, snap,
+    StepKind, eval_c, eval_delta, eval_f, eval_q, eval_quadrature, eval_rt, eval_step, eval_u, snap,
 )
 from .xisets import ChainResult, XiSet, atom_key, format_finite_set, grandi_demo, membership
 
@@ -35,14 +41,16 @@ MAX_GRID_ROWS = 1_000_000
 # argparse's own pattern misses exponents and would read "-1e-3" as an option
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
+# CLI name -> closed form fn(x, params); table's quadrature column comes
+# from eval_quadrature
 _FUNCTIONS = {
     "f": eval_f,
     "c": eval_c,
     "u": eval_u,
     "q": eval_q,
     "rt": eval_rt,
-    "H1": lambda x, params, backend, tol: eval_step(StepKind.H1, x, params, backend, tol),
-    "H2": lambda x, params, backend, tol: eval_step(StepKind.H2, x, params, backend, tol),
+    "H1": lambda x, params: eval_step(StepKind.H1, x, params),
+    "H2": lambda x, params: eval_step(StepKind.H2, x, params),
     "delta": eval_delta,
 }
 
@@ -63,41 +71,57 @@ def _finite(text: str) -> float:
     return value
 
 
+# option -> (argparse settings, the subcommands that honour it); an option
+# a subcommand would ignore is refused by argparse with exit 2
+_OPTIONS = {
+    "--T": (dict(type=_finite, default=100.0, help="half-line cutoff (default 100)"),
+            ("eval", "table", "plot")),
+    "--U": (dict(type=_finite, default=None, help="indicator scale (default 128)"),
+            ("eval", "table", "plot", "primes")),
+    "--eps": (dict(type=_finite, default=None, help="tangent-interval margin before pi/2"),
+              ("eval", "table", "plot", "primes")),
+    "--tol": (dict(type=_finite, default=1e-9, help="quadrature tolerance (default 1e-9)"),
+              ("eval", "table")),
+    "--snap-atol": (dict(type=_finite, default=1e-6, help="snapping tolerance (default 1e-6)"),
+                    ("eval", "table")),
+    "--out": (dict(default=None, help="write output to this path instead of stdout"),
+              ("table", "plot", "primes")),
+}
+# subcommand -> the --format values it honours
+_FORMATS = {"table": ["csv"], "plot": ["csv", "svg"], "primes": ["csv"]}
+
+
 @functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--T", type=_finite, default=100.0, help="half-line cutoff (default 100)")
-    common.add_argument("--U", type=_finite, default=None, help="indicator scale (default 128)")
-    common.add_argument("--eps", type=_finite, default=None, help="tangent-interval margin before pi/2")
-    common.add_argument("--tol", type=_finite, default=1e-9, help="quadrature tolerance (default 1e-9)")
-    common.add_argument("--snap-atol", type=_finite, default=1e-6, help="snapping tolerance (default 1e-6)")
-    common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=["csv", "svg"], default=None, help="output format (svg: plot only)")
-
     parser = argparse.ArgumentParser(prog="heaviforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate one function at one point")
+    p = sub.add_parser("eval", help="evaluate one function at one point")
     p.add_argument("function", choices=sorted(_FUNCTIONS))
     p.add_argument("x", type=_finite)
 
     for name, help_text in (("table", "CSV table over a grid"), ("plot", "SVG polyline over a grid")):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("function", choices=sorted(_FUNCTIONS))
         p.add_argument("start", type=_finite)
         p.add_argument("stop", type=_finite)
         p.add_argument("step", type=_finite)
 
-    p = sub.add_parser("primes", parents=[common], help="divisor/prime chain vs. exact oracles")
+    p = sub.add_parser("primes", help="divisor/prime chain vs. exact oracles")
     p.add_argument("n_max", type=int)
 
-    p = sub.add_parser("xiset", parents=[common], help="evaluate a xi-set expression")
+    p = sub.add_parser("xiset", help="evaluate a xi-set expression")
     p.add_argument("expr", nargs="+")
 
-    p = sub.add_parser("grandi", parents=[common], help="alternating-series partial sums and Cesaro mean")
+    p = sub.add_parser("grandi", help="alternating-series partial sums and Cesaro mean")
     p.add_argument("k", type=int)
 
-    for p in sub.choices.values():
+    for name, p in sub.choices.items():
+        for option, (settings, commands) in _OPTIONS.items():
+            if name in commands:
+                p.add_argument(option, **settings)
+        if name in _FORMATS:
+            p.add_argument("--format", choices=_FORMATS[name], default=None, help="output format")
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
@@ -105,9 +129,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:  # a directory, a missing parent, no permission
+        raise ValueError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
@@ -133,7 +160,7 @@ def _cutoff_summary(params: CutoffParams, tol: float, snap_atol: float) -> str:
 
 def _cmd_eval(args, params: CutoffParams) -> int:
     fn = _FUNCTIONS[args.function]
-    raw = fn(args.x, params, Backend.CLOSED_FORM, args.tol)
+    raw = fn(args.x, params)
     print(f"{args.function}({_fmt(args.x)}) raw={_fmt(raw)} snapped={_fmt(snap(raw, args.snap_atol))}")
     print(_cutoff_summary(params, args.tol, args.snap_atol))
     return 0
@@ -145,7 +172,7 @@ def _table_rows(args, params: CutoffParams) -> list[str]:
     quads = eval_quadrature(args.function, xs, params, args.tol)
     lines = ["x,raw,snapped,backend_delta"]
     for x, quad in zip(xs, quads):
-        raw = fn(x, params, Backend.CLOSED_FORM, args.tol)
+        raw = fn(x, params)
         snapped = snap(raw, args.snap_atol)
         lines.append(f"{_fmt(x)},{_fmt(raw)},{_fmt(snapped)},{_fmt(abs(quad.value - raw))}")
     return lines
@@ -195,7 +222,7 @@ def _render_svg(xs: list[float], ys: list[float], label: str) -> str:
 def _cmd_plot(args, params: CutoffParams) -> int:
     fn = _FUNCTIONS[args.function]
     xs = _grid(args.start, args.stop, args.step)
-    ys = [fn(x, params, Backend.CLOSED_FORM, args.tol) for x in xs]
+    ys = [fn(x, params) for x in xs]
     if args.format == "csv":
         lines = ["x,raw"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys)]
         _emit("\n".join(lines) + "\n", args.out)
@@ -273,12 +300,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.format == "svg" and args.command != "plot":
-        return _usage_fail("--format svg is only valid for the plot subcommand")
-
     try:
         if args.command in _CUTOFF_COMMANDS:
-            params = CutoffParams(half_line_T=args.T, tan_margin_eps=args.eps, indicator_scale_U=args.U)
+            # primes has no --T: its precision plan sets only the scale U
+            T = getattr(args, "T", CutoffParams.half_line_T)
+            params = CutoffParams(half_line_T=T, tan_margin_eps=args.eps, indicator_scale_U=args.U)
             return _CUTOFF_COMMANDS[args.command](args, params)
         if args.command == "xiset":
             return _cmd_xiset(args)

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .quadrature import CutoffParams
+from .cutoffs import CutoffParams
 from .stepfun import StepKind, eval_step
 
 __all__ = [

@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .quadrature import CutoffParams
+from .cutoffs import CutoffParams
 from .stepfun import StepKind, eval_rt, eval_step
 
 __all__ = [

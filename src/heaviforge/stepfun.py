@@ -31,17 +31,7 @@ import enum
 import math
 from typing import Sequence
 
-import numpy as np
-
-from .quadrature import (
-    CutoffParams,
-    QuadratureResult,
-    _half_line_edges,
-    _seed_waves,
-    _tan_edges,
-    integrate_half_line,
-    integrate_tan_interval,
-)
+from .cutoffs import CutoffParams, QuadratureResult
 
 __all__ = [
     "Backend",
@@ -103,6 +93,24 @@ def _density(z: float) -> float:
 
 
 # -- numpy integrand factories (quadrature backend) -------------------------
+
+class _Numpy:
+    """Stands in for numpy until an integrand first reads it.
+
+    The closed forms never do, so a process that only evaluates them never
+    imports numpy.  The first attribute read imports it and rebinds this
+    module's ``np`` to the module itself; every later read is a plain global
+    lookup, as with a top-level import.
+    """
+
+    def __getattr__(self, attr):
+        global np
+        import numpy as np
+        return getattr(np, attr)
+
+
+np = _Numpy()
+
 
 def _density_np(z):
     a = np.exp(-np.abs(z))
@@ -208,14 +216,16 @@ def eval_quadrature(
     the scalar ``eval_*(x, params, Backend.QUADRATURE, tol)`` bit for bit.
     The first failing row, in row order, raises its :class:`QuadratureError`.
     """
+    from . import quadrature  # numpy, loaded by the quadrature backend only
+
     on_half_line, integrand_of, finish = _QUADRATURE[name]
     params = params or DEFAULT_CUTOFFS
     if on_half_line:
-        integrate, edges = integrate_half_line, _half_line_edges(params.half_line_T)
+        integrate, edges = quadrature.integrate_half_line, quadrature._half_line_edges(params.half_line_T)
     else:
-        integrate, edges = integrate_tan_interval, _tan_edges(params.tan_interval_upper)
+        integrate, edges = quadrature.integrate_tan_interval, quadrature._tan_edges(params.tan_interval_upper)
     results = []
-    for x, seed_wave in zip(xs, _seed_waves(integrand_of, xs, edges)):
+    for x, seed_wave in zip(xs, quadrature._seed_waves(integrand_of, xs, edges)):
         result = integrate(integrand_of(x), params, tol, seed_wave=seed_wave)
         if finish is not None:
             result = QuadratureResult(finish(result.value), result.abs_error_estimate, result.evaluations)

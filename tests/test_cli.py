@@ -112,6 +112,50 @@ def test_conflicting_scale_flags_exit_2():
 
 
 @pytest.mark.parametrize("args", [
+    ("eval", "f", "1", "--out", "x.txt"),
+    ("eval", "f", "1", "--format", "csv"),
+    ("xiset", "{1}", "--out", "x.txt"),
+    ("grandi", "3", "--out", "x.txt"),
+    ("primes", "5", "--snap-atol", "1e-3"),
+    ("primes", "5", "--T", "5"),
+    ("primes", "5", "--tol", "1e-3"),
+    ("plot", "f", "0", "1", "0.5", "--tol", "1e-3"),
+    ("plot", "f", "0", "1", "0.5", "--snap-atol", "1e-3"),
+])
+def test_options_a_subcommand_would_ignore_exit_2(args, tmp_path):
+    proc = run_cli(*args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ("table", "f", "0", "1", "0.5", "--format", "csv"),
+    ("primes", "5", "--format", "csv"),
+    ("plot", "f", "0", "1", "0.5", "--format", "svg", "--T", "7", "--eps", "0.2"),
+    ("eval", "rt", "0.1", "--snap-atol", "0.5", "--tol", "1e-3", "--T", "7", "--eps", "0.2"),
+])
+def test_options_a_subcommand_honours_are_accepted(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout != ""
+
+
+@pytest.mark.parametrize("args,out", [
+    (("table", "f", "0", "1", "0.5"), "."),  # a directory: IsADirectoryError
+    (("primes", "5"), "."),
+    (("plot", "f", "0", "1", "0.5"), "missing/x.svg"),  # no such directory: FileNotFoundError
+])
+def test_unwritable_out_exits_2(args, out, tmp_path):
+    proc = run_cli(*args, "--out", str(tmp_path / out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("heaviforge: error: cannot write --out")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
     ("eval", "H1", "nan"),
     ("eval", "H1", "0", "--tol", "inf"),
     ("table", "H1", "nan", "1", "0.5"),

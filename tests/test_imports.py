@@ -1,0 +1,65 @@
+"""numpy is the quadrature backend's dependency only: importing the package
+and running the closed-form subcommands must not load it."""
+
+import json
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+# Runs in a fresh interpreter; prints one JSON object: for each step, whether
+# numpy was loaded after it, and the exit code of each command.
+SCRIPT = r"""
+import contextlib, io, json, sys
+
+loaded = {}
+import heaviforge
+loaded["import heaviforge"] = ("numpy" in sys.modules, 0)
+from heaviforge import cli
+
+for argv in (
+    ["eval", "H1", "0"],
+    ["plot", "H2", "-0.2", "0.2", "0.01"],
+    ["plot", "rt", "-1", "1", "0.05", "--format", "csv"],
+    ["primes", "200"],
+    ["xiset", "{1}||{1,2} | {3}||0 & {1,3}||{2}"],
+    ["xiset", "chain", "{1,2}", "0", "6", "shifted"],
+    ["grandi", "7"],
+    ["table", "H1", "-1", "1", "0.5"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    loaded[" ".join(argv)] = ("numpy" in sys.modules, code)
+
+import heaviforge.quadrature
+same = [
+    heaviforge.integrate_half_line is heaviforge.quadrature.integrate_half_line,
+    heaviforge.integrate_tan_interval is heaviforge.quadrature.integrate_tan_interval,
+    heaviforge.integrate_interval is heaviforge.quadrature.integrate_interval,
+    heaviforge.quadrature.CutoffParams is heaviforge.CutoffParams,
+    heaviforge.quadrature.QuadratureError is heaviforge.QuadratureError,
+    heaviforge.quadrature.QuadratureResult is heaviforge.QuadratureResult,
+]
+print(json.dumps({"loaded": loaded, "same": same}))
+"""
+
+
+def test_numpy_is_loaded_by_the_quadrature_backend_only():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    steps = list(report["loaded"].items())
+    assert steps[-1][0].startswith("table")
+    for step, (numpy_loaded, code) in steps[:-1]:
+        assert code == 0, step
+        assert not numpy_loaded, f"numpy loaded by: {step}"
+    assert steps[-1][1] == [True, 0]
+    assert all(report["same"])
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    import heaviforge
+
+    assert not hasattr(heaviforge, "integrate_nowhere")

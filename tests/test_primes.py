@@ -42,19 +42,30 @@ PLAN200 = plan_precision(200)
 # ---------------------------------------------------------------------------
 # precision planning
 
-def test_plan_is_smallest_admissible_power_of_two():
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n_max=st.integers(1, 10_000), margin=st.floats(1e-6, 0.5, exclude_max=True))
+@example(n_max=10, margin=0.25)
+@example(n_max=200, margin=0.25)
+@example(n_max=37, margin=0.1)
+@example(n_max=2, margin=0.4)
+@example(n_max=10_000, margin=1e-6)
+def test_plan_is_smallest_admissible_power_of_two(n_max, margin):
+    plan = plan_precision(n_max, margin)
+    if n_max == 1:
+        # no non-divisor terms, so nothing can leak: the smallest admissible
+        # scale serves
+        assert plan.indicator_scale_U == 2.0
+        return
     # brute-force oracle: scan admissible powers of two (>= 2, so the
     # derived tangent margin stays inside its open range) against the
     # leakage inequality
-    for n_max, margin in ((10, 0.25), (200, 0.25), (37, 0.1), (2, 0.4)):
-        s = math.sin(math.pi / n_max) ** 2
-        u = 2.0
-        while math.exp(-u * s) >= margin / n_max:
-            u *= 2.0
-        plan = plan_precision(n_max, margin)
-        assert plan.indicator_scale_U == u
-        assert math.exp(-plan.indicator_scale_U * s) < margin / n_max
-        assert math.exp(-(plan.indicator_scale_U / 2.0) * s) >= margin / n_max
+    s = math.sin(math.pi / n_max) ** 2
+    u = 2.0
+    while math.exp(-u * s) >= margin / n_max:
+        u *= 2.0
+    assert plan.indicator_scale_U == u
+    assert math.exp(-plan.indicator_scale_U * s) < margin / n_max
+    assert math.exp(-(plan.indicator_scale_U / 2.0) * s) >= margin / n_max
 
 
 def test_plan_examples():

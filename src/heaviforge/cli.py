@@ -192,13 +192,15 @@ def _render_svg(xs: list[float], ys: list[float], label: str) -> str:
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
 
-    def px(x):
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def py(y):
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-
-    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    # spans hoisted out of the loop; each point takes the operations of
+    # margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin), in order,
+    # and of its y twin measured down from height - margin
+    x_span, x_room = x_hi - x_lo, width - 2 * margin
+    y_span, y_room, y_base = y_hi - y_lo, height - 2 * margin, height - margin
+    points = " ".join([
+        "%.2f,%.2f" % (margin + (x - x_lo) / x_span * x_room, y_base - (y - y_lo) / y_span * y_room)
+        for x, y in zip(xs, ys)
+    ])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
@@ -224,7 +226,7 @@ def _cmd_plot(args, params: CutoffParams) -> int:
     xs = _grid(args.start, args.stop, args.step)
     ys = [fn(x, params) for x in xs]
     if args.format == "csv":
-        lines = ["x,raw"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys)]
+        lines = ["x,raw"] + ["%.17g,%.17g" % xy for xy in zip(xs, ys)]  # _fmt's format, one % per row
         _emit("\n".join(lines) + "\n", args.out)
     else:
         label = f"{args.function}  T={_fmt(params.half_line_T)} U={_fmt(params.indicator_scale_U)}"

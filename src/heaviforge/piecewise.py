@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .cutoffs import CutoffParams
-from .stepfun import StepKind, eval_step
+from .stepfun import _h1
 
 __all__ = [
     "InvalidInterval",
@@ -89,10 +89,12 @@ def transition_width(params: CutoffParams) -> float:
     """Half-width of the blending region around a breakpoint.
 
     Beyond this distance both step components are within ~1e-9 of their
-    discrete values; the Gaussian indicator term decays as e^{-U d^2} and
-    dominates the width, hence the square root.
+    discrete values.  The Gaussian indicator term decays as e^{-U d^2} and
+    the logistic as e^{-U d}; for U above log(2e9), about 21.4, the Gaussian
+    is the slower and sets the width, hence the square root.
     """
-    return math.sqrt(math.log(2e9) / params.indicator_scale_U)
+    reach = math.log(2e9) / params.indicator_scale_U
+    return max(math.sqrt(reach), reach)
 
 
 def impulse(x: float, a: float, b: float, params: CutoffParams | None = None) -> float:
@@ -102,12 +104,8 @@ def impulse(x: float, a: float, b: float, params: CutoffParams | None = None) ->
     """
     if not a < b:
         raise InvalidInterval(f"impulse needs a < b, got a={a!r}, b={b!r}")
-    params = params or CutoffParams()
-    return eval_step(StepKind.H1, x - a, params) - eval_step(StepKind.H1, x - b, params)
-
-
-def _gate_values(spec: PiecewiseSpec, x: float, params: CutoffParams) -> list[float]:
-    return [eval_step(StepKind.H1, x - bp, params) for bp in spec.breakpoints]
+    U = (params or CutoffParams()).indicator_scale_U
+    return _h1(x - a, U) - _h1(x - b, U)
 
 
 def compose(
@@ -121,17 +119,24 @@ def compose(
     pure functions, hence safe to share across threads (provided the branch
     callables are themselves reentrant).  For a single breakpoint the sum
     has no impulse terms at all and reduces to the two outer gates.
+
+    The evaluator folds the gates left to right: one ``_h1`` per breakpoint,
+    keeping only the previous gate.  Its terms are those of
+    :func:`partition_terms`, each times its branch, added in that order; it
+    builds no list of them, which is most of its speed.
     """
-    params = params or default_cutoffs(spec)
-    branches = spec.branches
-    n = len(spec.breakpoints)
+    U = (params or default_cutoffs(spec)).indicator_scale_U
+    (bp0, *inner_bps), (branch0, *inner_branches, last) = spec.breakpoints, spec.branches
+    inner = tuple(zip(inner_bps, inner_branches))
 
     def evaluator(x: float) -> float:
-        h = _gate_values(spec, x, params)
-        total = (1.0 - h[0]) * branches[0](x)
-        for i in range(1, n):
-            total += (h[i - 1] - h[i]) * branches[i](x)
-        total += h[n - 1] * branches[n](x)
+        prev = _h1(x - bp0, U)
+        total = (1.0 - prev) * branch0(x)
+        for bp, branch in inner:
+            h = _h1(x - bp, U)
+            total += (prev - h) * branch(x)
+            prev = h
+        total += prev * last(x)
         return total
 
     return evaluator
@@ -154,8 +159,8 @@ def partition_terms(
     They telescope to 1 exactly; away from breakpoints exactly one of them
     snaps to 1 and the rest to 0.
     """
-    params = params or default_cutoffs(spec)
-    h = _gate_values(spec, x, params)
+    U = (params or default_cutoffs(spec)).indicator_scale_U
+    h = [_h1(x - bp, U) for bp in spec.breakpoints]
     n = len(h)
     terms = [1.0 - h[0]]
     terms += [h[i - 1] - h[i] for i in range(1, n)]

@@ -81,9 +81,15 @@ def snap(value: float, atol: float = 1e-9) -> float:
 def _ramp(z: float) -> float:
     """1/2 - 1/(1 + e^z); odd in z, exactly 0.0 at z = 0."""
     if z < 0.0:
-        return -_ramp(-z)
+        a = math.exp(z)  # the z > 0 branch at -z, negated
+        return -(0.5 - a / (1.0 + a))
     a = math.exp(-z)
     return 0.5 - a / (1.0 + a)
+
+
+def _h1(x: float, U: float) -> float:
+    """Closed-form H1 at scale U: H2 = 1/2 + c(x), plus rt(x)/2."""
+    return (0.5 + _ramp(x * U)) + 0.5 * math.exp(-U * x * x)
 
 
 def _density(z: float) -> float:
@@ -319,10 +325,9 @@ def eval_step(
     params = params or DEFAULT_CUTOFFS
     U = params.indicator_scale_U
     if backend is Backend.CLOSED_FORM:
-        h2 = 0.5 + _ramp(x * U)
         if kind is StepKind.H2:
-            return h2
-        return h2 + 0.5 * math.exp(-U * x * x)
+            return 0.5 + _ramp(x * U)
+        return _h1(x, U)
     return _quadrature_value(kind.value, x, params, tol)
 
 

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "FiniteSet",
@@ -265,4 +267,6 @@ def grandi_demo(k: int) -> tuple[list[int], Fraction]:
     for n in range(k):
         acc += 1 if n % 2 == 0 else -1
         sums.append(acc)
+    from fractions import Fraction  # with decimal, only grandi needs it
+
     return sums, Fraction(sum(sums), k)

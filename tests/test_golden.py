@@ -7,12 +7,14 @@ quadrature backend's distance from the closed form) need only stay within
 ``tol``, because a change of quadrature rule may move its last digits.
 
 A change that alters any of these bytes must say so in CHANGES.md; rewrite
-the files with ``PYTHONPATH=src python tests/test_golden.py``.
+the files with ``PYTHONPATH=src python tests/test_golden.py``, or only the
+named cases with ``PYTHONPATH=src python tests/test_golden.py NAME...``.
 """
 
 import contextlib
 import io
 import os
+import sys
 
 import pytest
 
@@ -29,6 +31,10 @@ CASES = {
     "eval_delta_T": (["eval", "delta", "0.003", "--T", "1000"], 0),
     "plot_svg": (["plot", "H2", "-0.2", "0.2", "0.01"], 0),
     "plot_csv": (["plot", "rt", "-1", "1", "0.05", "--format", "csv", "--U", "50"], 0),
+    "plot_f_csv": (["plot", "f", "-3", "3", "0.25", "--format", "csv"], 0),
+    "plot_delta_svg": (["plot", "delta", "-0.5", "0.5", "0.05"], 0),  # negative y
+    "plot_one_point": (["plot", "H1", "0", "0", "1"], 0),  # flat x and y ranges
+    "plot_u_huge_csv": (["plot", "u", "-1e300", "1e300", "1e299", "--format", "csv"], 0),
     "primes_200": (["primes", "200"], 0),
     "primes_1000": (["primes", "1000"], 0),
     "primes_200_U2": (["primes", "200", "--U", "2"], 1),
@@ -74,8 +80,13 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {' '.join(unknown)}")
     os.makedirs(GOLDEN, exist_ok=True)
-    for name, (argv, expected_code) in CASES.items():
+    for name in names:
+        argv, expected_code = CASES[name]
         code, text = run(argv)
         assert code == expected_code, (name, code)
         with open(os.path.join(GOLDEN, f"{name}.out"), "w", newline="") as fh:

@@ -1,5 +1,6 @@
-"""numpy is the quadrature backend's dependency only: importing the package
-and running the closed-form subcommands must not load it."""
+"""numpy is the quadrature backend's dependency only, and ``fractions`` (with
+``decimal`` behind it) is ``grandi``'s: importing the package and running the
+other subcommands must load neither."""
 
 import json
 import os
@@ -9,14 +10,15 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 # Runs in a fresh interpreter; prints one JSON object: for each step, whether
-# numpy was loaded after it, and the exit code of each command.
+# numpy and fractions were loaded after it, and the exit code of each command.
 SCRIPT = r"""
 import contextlib, io, json, sys
 
 loaded = {}
 import heaviforge
-loaded["import heaviforge"] = ("numpy" in sys.modules, 0)
+loaded["import heaviforge"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
 from heaviforge import cli
+loaded["import heaviforge.cli"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
 
 for argv in (
     ["eval", "H1", "0"],
@@ -30,7 +32,7 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    loaded[" ".join(argv)] = ("numpy" in sys.modules, code)
+    loaded[" ".join(argv)] = ("numpy" in sys.modules, "fractions" in sys.modules, code)
 
 import heaviforge.quadrature
 same = [
@@ -45,18 +47,31 @@ print(json.dumps({"loaded": loaded, "same": same}))
 """
 
 
-def test_numpy_is_loaded_by_the_quadrature_backend_only():
+def run_script():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_numpy_is_loaded_by_the_quadrature_backend_only():
+    report = run_script()
     steps = list(report["loaded"].items())
     assert steps[-1][0].startswith("table")
-    for step, (numpy_loaded, code) in steps[:-1]:
+    for step, (numpy_loaded, _, code) in steps[:-1]:
         assert code == 0, step
         assert not numpy_loaded, f"numpy loaded by: {step}"
-    assert steps[-1][1] == [True, 0]
+    assert steps[-1][1][0] is True and steps[-1][1][2] == 0
     assert all(report["same"])
+
+
+def test_fractions_is_loaded_by_grandi_only():
+    steps = list(run_script()["loaded"].items())
+    names = [step for step, _ in steps]
+    first = names.index("grandi 7")
+    for step, (_, fractions_loaded, _) in steps[:first]:
+        assert not fractions_loaded, f"fractions loaded by: {step}"
+    assert steps[first][1][1] is True
 
 
 def test_unknown_package_attribute_raises_attribute_error():

@@ -30,9 +30,7 @@ from .cutoffs import CutoffParams, QuadratureError
 from .piecewise import InvalidInterval, InvalidSpec
 from .primes import pi_sieve_counts, plan_precision, prime_chain, sigma0_oracle
 from .setexpr import SetExprError, evaluate
-from .stepfun import (
-    StepKind, eval_c, eval_delta, eval_f, eval_q, eval_quadrature, eval_rt, eval_step, eval_u, snap,
-)
+from .stepfun import StepKind, eval_c, eval_delta, eval_f, eval_q, eval_rt, eval_step, eval_u, snap
 from .xisets import ChainResult, XiSet, atom_key, format_finite_set, grandi_demo, membership
 
 USAGE_ERROR = 2
@@ -42,7 +40,7 @@ MAX_GRID_ROWS = 1_000_000
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 # CLI name -> closed form fn(x, params); table's quadrature column comes
-# from eval_quadrature
+# from quadrature.eval_quadrature
 _FUNCTIONS = {
     "f": eval_f,
     "c": eval_c,
@@ -167,6 +165,8 @@ def _cmd_eval(args, params: CutoffParams) -> int:
 
 
 def _table_rows(args, params: CutoffParams) -> list[str]:
+    from .quadrature import eval_quadrature  # numpy, which only table needs
+
     fn = _FUNCTIONS[args.function]
     xs = _grid(args.start, args.stop, args.step)
     quads = eval_quadrature(args.function, xs, params, args.tol)
@@ -183,14 +183,19 @@ def _cmd_table(args, params: CutoffParams) -> int:
     return 0
 
 
+def _axis_range(values: list[float]) -> tuple[float, float]:
+    """min and max of ``values``; a flat range is widened by 1.0 each way,
+    or, at a magnitude where rounding absorbs 1.0, by a relative pad."""
+    lo, hi = min(values), max(values)
+    if hi != lo:
+        return lo, hi
+    pad = 1.0 if lo - 1.0 != hi + 1.0 else abs(lo) * 2.0**-40
+    return lo - pad, hi + pad
+
+
 def _render_svg(xs: list[float], ys: list[float], label: str) -> str:
     width, height, margin = 720.0, 480.0, 60.0
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    (x_lo, x_hi), (y_lo, y_hi) = _axis_range(xs), _axis_range(ys)
 
     # spans hoisted out of the loop; each point takes the operations of
     # margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin), in order,

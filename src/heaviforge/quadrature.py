@@ -22,6 +22,12 @@ seed wave of a whole chunk of rows in one integrand call
 (``_seed_waves``) and hand each row's to its ``integrate_*`` call as
 ``seed_wave``; the row then refines alone, and its result is the one it
 would get without the hand-over, bit for bit.
+
+This module is the whole quadrature backend of the step-function family:
+besides the engine it holds each function's integrand (``_QUADRATURE``) and
+``eval_quadrature``, which integrates one function over a column of x, one
+``integrate_*`` call per row.  ``stepfun`` holds the closed forms and calls
+``eval_quadrature`` for its quadrature backend.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ __all__ = [
     "integrate_half_line",
     "integrate_tan_interval",
     "integrate_interval",
+    "eval_quadrature",
     "DEFAULT_EVAL_BUDGET",
 ]
 
@@ -145,7 +152,7 @@ def _sorted_panels(left, right, k15, est):
     return left[order], right[order], k15[order], est[order]
 
 
-def _adaptive(f, edges, tol, budget, seed_wave=None):
+def _adaptive(f, edges, tol, seed_wave=None):
     if tol <= 0.0 or not math.isfinite(tol):
         raise ValueError(f"tol must be a positive real, got {tol!r}")
     edges = np.asarray(edges, dtype=float)
@@ -170,7 +177,7 @@ def _adaptive(f, edges, tol, budget, seed_wave=None):
         split = (est >= est.max() / _SPLIT_FACTOR) & (widths > floor)
         if not split.any():
             raise ToleranceNotReached(best)  # roundoff-limited panels remain
-        if evals + 30 * int(split.sum()) > budget:
+        if evals + 30 * int(split.sum()) > DEFAULT_EVAL_BUDGET:
             raise ToleranceNotReached(best)
 
         mid = 0.5 * (left[split] + right[split])
@@ -212,14 +219,14 @@ def integrate_half_line(
     params: CutoffParams | None = None,
     tol: float = 1e-9,
     *,
-    budget: int = DEFAULT_EVAL_BUDGET,
     seed_wave: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, T] with T = ``params.half_line_T``.
 
     The integrand must be finite on [0, T] and accept a numpy array of
     abscissae.  On success ``abs_error_estimate <= tol``; if the evaluation
-    budget runs out first, :class:`ToleranceNotReached` carries the best
+    budget (``DEFAULT_EVAL_BUDGET``) runs out first,
+    :class:`ToleranceNotReached` carries the best
     estimate.  Results are deterministic for fixed inputs.
 
     ``seed_wave`` is the integrand's (k15, est) on the seed panels when it
@@ -227,7 +234,7 @@ def integrate_half_line(
     evaluated only on the waves after it.
     """
     params = params or CutoffParams()
-    return _adaptive(integrand, _half_line_edges(params.half_line_T), tol, budget, seed_wave)
+    return _adaptive(integrand, _half_line_edges(params.half_line_T), tol, seed_wave)
 
 
 def integrate_tan_interval(
@@ -235,7 +242,6 @@ def integrate_tan_interval(
     params: CutoffParams | None = None,
     tol: float = 1e-9,
     *,
-    budget: int = DEFAULT_EVAL_BUDGET,
     seed_wave: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, pi/2 - eps] with eps = ``params.tan_margin_eps``.
@@ -245,7 +251,7 @@ def integrate_tan_interval(
     ``seed_wave`` is as in :func:`integrate_half_line`.
     """
     params = params or CutoffParams()
-    return _adaptive(integrand, _tan_edges(params.tan_interval_upper), tol, budget, seed_wave)
+    return _adaptive(integrand, _tan_edges(params.tan_interval_upper), tol, seed_wave)
 
 
 def integrate_interval(
@@ -253,8 +259,6 @@ def integrate_interval(
     lower: float,
     upper: float,
     tol: float = 1e-9,
-    *,
-    budget: int = DEFAULT_EVAL_BUDGET,
 ) -> QuadratureResult:
     """Integrate over an arbitrary finite interval [lower, upper].
 
@@ -264,4 +268,125 @@ def integrate_interval(
     """
     if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
         raise ValueError(f"need finite lower < upper, got [{lower!r}, {upper!r}]")
-    return _adaptive(integrand, np.linspace(lower, upper, 17), tol, budget)
+    return _adaptive(integrand, np.linspace(lower, upper, 17), tol)
+
+
+# -- integrands of the step-function family (see ``stepfun``) ----------------
+
+def _density_np(z):
+    a = np.exp(-np.abs(z))
+    return a / (1.0 + a) ** 2
+
+
+def _cubed_density_np(z):
+    # e^{2z} / (1 + e^z)^3, rewritten per sign so the exponential never blows up
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z > 0.0
+    a = np.exp(-z[pos])
+    out[pos] = a / (1.0 + a) ** 3
+    b = np.exp(z[~pos])
+    out[~pos] = b * b / (1.0 + b) ** 3
+    return out
+
+
+# Each factory takes x as a float, or as a column of shape (rows, 1); its
+# integrand maps t to values of shape (len(t),), or (rows, len(t)).
+
+def _f_integrand(x):
+    return lambda t: x * _density_np(x * t)
+
+
+def _u_integrand(x):
+    x2 = x * x
+    return lambda t: x2 * np.exp(-t * x2)
+
+
+def _tan(integrand):
+    """Move a half-line integrand onto the tangent interval: u = tan t."""
+    def g(t):
+        tn = np.tan(t)
+        return (1.0 + tn * tn) * integrand(tn)
+    return g
+
+
+def _cube(x: float) -> float:
+    # Python's float ** (C pow), which numpy's power does not match in the
+    # last bit; an overflow gives the infinity the array arithmetic would
+    try:
+        return x ** 3
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _delta_integrand(x):
+    # x-derivatives of the f and u integrands, f' - u':
+    # e^{tx}(1 + tx)/(1+e^{tx})^2 - 2x e^{-t x^2}
+    #   + 2 t x^3 e^{-t x^2} - 2 t x e^{2tx}/(1+e^{tx})^3
+    x3 = np.reshape([_cube(v) for v in np.ravel(x).tolist()], np.shape(x))
+
+    def g(t):
+        z = t * x
+        return ((1.0 + z) * _density_np(z) - 2.0 * x * np.exp(-t * x * x)
+                + 2.0 * t * x3 * np.exp(-t * x * x) - 2.0 * z * _cubed_density_np(z))
+    return g
+
+
+def _c_integrand(x):
+    return _tan(_f_integrand(x))
+
+
+def _q_integrand(x):
+    return _tan(_u_integrand(x))
+
+
+def _h1_integrand(x):
+    f_int, u_int = _f_integrand(x), _u_integrand(x)
+    return _tan(lambda u: f_int(u) - 0.5 * u_int(u))
+
+
+# function name -> (integrated over the half-line rather than the tangent
+#                   interval, integrand factory, the function's value from
+#                   the integral, None if the same)
+_QUADRATURE = {
+    "f": (True, _f_integrand, None),
+    "c": (False, _c_integrand, None),
+    "u": (True, _u_integrand, None),
+    "q": (False, _q_integrand, None),
+    "rt": (False, _q_integrand, lambda v: 1.0 - v),
+    "H2": (False, _c_integrand, lambda v: 0.5 + v),
+    "H1": (False, _h1_integrand, lambda v: 1.0 + v),
+    "delta": (True, _delta_integrand, None),
+}
+
+
+def eval_quadrature(
+    name: str,
+    xs: Sequence[float],
+    params: CutoffParams | None = None,
+    tol: float = 1e-9,
+) -> list[QuadratureResult]:
+    """Quadrature backend of the function ``name`` at every x in ``xs``.
+
+    ``name`` is one of ``"f"``, ``"c"``, ``"u"``, ``"q"``, ``"rt"``,
+    ``"H1"``, ``"H2"``, ``"delta"``, the CLI's names.  Each
+    result's ``value`` is the function's value; its error estimate and
+    evaluation count are those of the integral behind it.  Each row is one
+    ``integrate_*`` call, but a chunk of rows shares one integrand call for
+    the seed wave; a row's result does not depend on its chunk: it equals
+    the scalar ``eval_*(x, params, Backend.QUADRATURE, tol)`` bit for bit.
+    The first failing row, in row order, raises its :class:`QuadratureError`.
+    """
+    on_half_line, integrand_of, finish = _QUADRATURE[name]
+    params = params or CutoffParams()
+    if on_half_line:
+        integrate, edges = integrate_half_line, _half_line_edges(params.half_line_T)
+    else:
+        integrate, edges = integrate_tan_interval, _tan_edges(params.tan_interval_upper)
+    results = []
+    for x, seed_wave in zip(xs, _seed_waves(integrand_of, xs, edges)):
+        result = integrate(integrand_of(x), params, tol, seed_wave=seed_wave)
+        if finish is not None:
+            result = QuadratureResult(finish(result.value), result.abs_error_estimate, result.evaluations)
+        results.append(result)
+    return results

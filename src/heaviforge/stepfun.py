@@ -14,7 +14,10 @@ value is a discrete limit:
     delta_T(x) = T e^{Tx}/(1+e^{Tx})^2 - 2 T x e^{-T x^2}  (nascent delta)
 
 Each evaluator supports two backends that must agree within tolerance: the
-closed form above, and adaptive quadrature of the defining integrand.  The
+closed form above, and adaptive quadrature of the defining integrand.  This
+module holds the closed forms only; the integrands and the row loop of the
+quadrature backend (``eval_quadrature``) live in :mod:`quadrature`, which the
+first quadrature-backend call imports, numpy with it.  The
 truncation error of the closed forms against the exact discrete limits decays
 like e^{-T|x|} / e^{-U x^2}, so cutoffs in the tens already reproduce the
 discrete tables to machine-irrelevant error away from the transition region.
@@ -29,9 +32,8 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
 
-from .cutoffs import CutoffParams, QuadratureResult
+from .cutoffs import CutoffParams
 
 __all__ = [
     "Backend",
@@ -45,7 +47,6 @@ __all__ = [
     "eval_rt",
     "eval_step",
     "eval_delta",
-    "eval_quadrature",
 ]
 
 DEFAULT_CUTOFFS = CutoffParams()
@@ -98,149 +99,10 @@ def _density(z: float) -> float:
     return a / ((1.0 + a) * (1.0 + a))
 
 
-# -- numpy integrand factories (quadrature backend) -------------------------
-
-class _Numpy:
-    """Stands in for numpy until an integrand first reads it.
-
-    The closed forms never do, so a process that only evaluates them never
-    imports numpy.  The first attribute read imports it and rebinds this
-    module's ``np`` to the module itself; every later read is a plain global
-    lookup, as with a top-level import.
-    """
-
-    def __getattr__(self, attr):
-        global np
-        import numpy as np
-        return getattr(np, attr)
-
-
-np = _Numpy()
-
-
-def _density_np(z):
-    a = np.exp(-np.abs(z))
-    return a / (1.0 + a) ** 2
-
-
-def _cubed_density_np(z):
-    # e^{2z} / (1 + e^z)^3, rewritten per sign so the exponential never blows up
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z > 0.0
-    a = np.exp(-z[pos])
-    out[pos] = a / (1.0 + a) ** 3
-    b = np.exp(z[~pos])
-    out[~pos] = b * b / (1.0 + b) ** 3
-    return out
-
-
-# Each factory takes x as a float, or as a column of shape (rows, 1); its
-# integrand maps t to values of shape (len(t),), or (rows, len(t)).
-
-def _f_integrand(x):
-    return lambda t: x * _density_np(x * t)
-
-
-def _u_integrand(x):
-    x2 = x * x
-    return lambda t: x2 * np.exp(-t * x2)
-
-
-def _tan(integrand):
-    """Move a half-line integrand onto the tangent interval: u = tan t."""
-    def g(t):
-        tn = np.tan(t)
-        return (1.0 + tn * tn) * integrand(tn)
-    return g
-
-
-def _cube(x: float) -> float:
-    # Python's float ** (C pow), which numpy's power does not match in the
-    # last bit; an overflow gives the infinity the array arithmetic would
-    try:
-        return x ** 3
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
-def _delta_integrand(x):
-    # x-derivatives of the f and u integrands, f' - u':
-    # e^{tx}(1 + tx)/(1+e^{tx})^2 - 2x e^{-t x^2}
-    #   + 2 t x^3 e^{-t x^2} - 2 t x e^{2tx}/(1+e^{tx})^3
-    x3 = np.reshape([_cube(v) for v in np.ravel(x).tolist()], np.shape(x))
-
-    def g(t):
-        z = t * x
-        return ((1.0 + z) * _density_np(z) - 2.0 * x * np.exp(-t * x * x)
-                + 2.0 * t * x3 * np.exp(-t * x * x) - 2.0 * z * _cubed_density_np(z))
-    return g
-
-
-def _c_integrand(x):
-    return _tan(_f_integrand(x))
-
-
-def _q_integrand(x):
-    return _tan(_u_integrand(x))
-
-
-def _h1_integrand(x):
-    f_int, u_int = _f_integrand(x), _u_integrand(x)
-    return _tan(lambda u: f_int(u) - 0.5 * u_int(u))
-
-
-# function name -> (integrated over the half-line rather than the tangent
-#                   interval, integrand factory, the function's value from
-#                   the integral, None if the same)
-_QUADRATURE = {
-    "f": (True, _f_integrand, None),
-    "c": (False, _c_integrand, None),
-    "u": (True, _u_integrand, None),
-    "q": (False, _q_integrand, None),
-    "rt": (False, _q_integrand, lambda v: 1.0 - v),
-    "H2": (False, _c_integrand, lambda v: 0.5 + v),
-    "H1": (False, _h1_integrand, lambda v: 1.0 + v),
-    "delta": (True, _delta_integrand, None),
-}
-
-
-def eval_quadrature(
-    name: str,
-    xs: Sequence[float],
-    params: CutoffParams | None = None,
-    tol: float = 1e-9,
-) -> list[QuadratureResult]:
-    """Quadrature backend of the function ``name`` at every x in ``xs``.
-
-    ``name`` is one of ``"f"``, ``"c"``, ``"u"``, ``"q"``, ``"rt"``,
-    ``"H1"``, ``"H2"``, ``"delta"``, the CLI's names.  Each
-    result's ``value`` is the function's value; its error estimate and
-    evaluation count are those of the integral behind it.  Each row is one
-    ``integrate_*`` call, but a chunk of rows shares one integrand call for
-    the seed wave; a row's result does not depend on its chunk: it equals
-    the scalar ``eval_*(x, params, Backend.QUADRATURE, tol)`` bit for bit.
-    The first failing row, in row order, raises its :class:`QuadratureError`.
-    """
+def _quadrature_value(name: str, x: float, params: CutoffParams, tol: float) -> float:
     from . import quadrature  # numpy, loaded by the quadrature backend only
 
-    on_half_line, integrand_of, finish = _QUADRATURE[name]
-    params = params or DEFAULT_CUTOFFS
-    if on_half_line:
-        integrate, edges = quadrature.integrate_half_line, quadrature._half_line_edges(params.half_line_T)
-    else:
-        integrate, edges = quadrature.integrate_tan_interval, quadrature._tan_edges(params.tan_interval_upper)
-    results = []
-    for x, seed_wave in zip(xs, quadrature._seed_waves(integrand_of, xs, edges)):
-        result = integrate(integrand_of(x), params, tol, seed_wave=seed_wave)
-        if finish is not None:
-            result = QuadratureResult(finish(result.value), result.abs_error_estimate, result.evaluations)
-        results.append(result)
-    return results
-
-
-def _quadrature_value(name: str, x: float, params: CutoffParams, tol: float) -> float:
-    return eval_quadrature(name, (x,), params, tol)[0].value
+    return quadrature.eval_quadrature(name, (x,), params, tol)[0].value
 
 
 # -- evaluators --------------------------------------------------------------

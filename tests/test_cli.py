@@ -245,10 +245,11 @@ def test_table_rejects_oversized_grids(grid, monkeypatch):
 @pytest.mark.parametrize("function", ["u", "H1"])
 def test_failing_table_stderr_is_one_warning_and_the_failure(function):
     # the stderr of the row-by-row table before rows were batched, up to
-    # the file's path, line numbers and the quoted source lines
+    # the file's path (the integrands have since moved from stepfun.py to
+    # quadrature.py), line numbers and the quoted source lines
     proc = run_cli("table", function, "-1e200", "1e200", "1e199")
     assert proc.returncode == 1 and proc.stdout == ""
-    lines = [re.sub(r"^.*stepfun\.py:\d+:", "stepfun.py:", line)
+    lines = [re.sub(r"^.*(stepfun|quadrature)\.py:\d+:", "stepfun.py:", line)
              for line in proc.stderr.splitlines() if not line.startswith("  ")]
     assert lines == [
         "stepfun.py: RuntimeWarning: invalid value encountered in multiply",
@@ -289,6 +290,20 @@ def test_plot_csv_format_lists_the_grid():
     lines = proc.stdout.strip().split("\n")
     assert lines[0] == "x,raw"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("args", [
+    ("u", "-1e300", "-1e300", "1"),
+    ("f", "-1e300", "-1e300", "0.25"),
+    ("delta", "0", "0", "1", "--T", "1e300"),
+    ("H1", "1e17", "1e17", "1"),
+])
+def test_plot_flat_range_at_huge_magnitude(args):
+    # widening the flat range by 1.0 each way rounds away at these magnitudes
+    proc = run_cli("plot", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert 'points="360.00,240.00"' in proc.stdout
 
 
 # ---------------------------------------------------------------------------

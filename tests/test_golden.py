@@ -35,6 +35,8 @@ CASES = {
     "plot_delta_svg": (["plot", "delta", "-0.5", "0.5", "0.05"], 0),  # negative y
     "plot_one_point": (["plot", "H1", "0", "0", "1"], 0),  # flat x and y ranges
     "plot_u_huge_csv": (["plot", "u", "-1e300", "1e300", "1e299", "--format", "csv"], 0),
+    "plot_u_flat_huge": (["plot", "u", "-1e300", "-1e300", "1"], 0),  # x +- 1.0 rounds away
+    "plot_delta_flat_huge": (["plot", "delta", "0", "0", "1", "--T", "1e300"], 0),  # y +- 1.0 too
     "primes_200": (["primes", "200"], 0),
     "primes_1000": (["primes", "1000"], 0),
     "primes_200_U2": (["primes", "200", "--U", "2"], 1),

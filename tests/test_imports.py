@@ -10,7 +10,9 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 # Runs in a fresh interpreter; prints one JSON object: for each step, whether
-# numpy and fractions were loaded after it, and the exit code of each command.
+# numpy and fractions were loaded after it, and the exit code of each command;
+# and checks that table's quadrature column comes from quadrature.eval_quadrature
+# and that the package re-exports quadrature's own objects.
 SCRIPT = r"""
 import contextlib, io, json, sys
 
@@ -20,6 +22,11 @@ loaded["import heaviforge"] = ("numpy" in sys.modules, "fractions" in sys.module
 from heaviforge import cli
 loaded["import heaviforge.cli"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
 
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    loaded[" ".join(argv)] = ("numpy" in sys.modules, "fractions" in sys.modules, code)
+
 for argv in (
     ["eval", "H1", "0"],
     ["plot", "H2", "-0.2", "0.2", "0.01"],
@@ -28,14 +35,22 @@ for argv in (
     ["xiset", "{1}||{1,2} | {3}||0 & {1,3}||{2}"],
     ["xiset", "chain", "{1,2}", "0", "6", "shifted"],
     ["grandi", "7"],
-    ["table", "H1", "-1", "1", "0.5"],
 ):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    loaded[" ".join(argv)] = ("numpy" in sys.modules, "fractions" in sys.modules, code)
+    run(argv)
 
+from heaviforge.stepfun import Backend, StepKind, eval_step
+eval_step(StepKind.H1, 0.3, backend=Backend.QUADRATURE)
+loaded["eval_step H1 quadrature"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
+
+# table looks eval_quadrature up in quadrature when it runs: count its calls
 import heaviforge.quadrature
+eval_quadrature, table_calls = heaviforge.quadrature.eval_quadrature, []
+heaviforge.quadrature.eval_quadrature = lambda name, *rest: table_calls.append(name) or eval_quadrature(name, *rest)
+run(["table", "H1", "-1", "1", "0.5"])
+heaviforge.quadrature.eval_quadrature = eval_quadrature
+
 same = [
+    table_calls == ["H1"],
     heaviforge.integrate_half_line is heaviforge.quadrature.integrate_half_line,
     heaviforge.integrate_tan_interval is heaviforge.quadrature.integrate_tan_interval,
     heaviforge.integrate_interval is heaviforge.quadrature.integrate_interval,
@@ -57,10 +72,11 @@ def run_script():
 def test_numpy_is_loaded_by_the_quadrature_backend_only():
     report = run_script()
     steps = list(report["loaded"].items())
-    assert steps[-1][0].startswith("table")
-    for step, (numpy_loaded, _, code) in steps[:-1]:
+    assert [step for step, _ in steps[-2:]] == ["eval_step H1 quadrature", "table H1 -1 1 0.5"]
+    for step, (numpy_loaded, _, code) in steps[:-2]:
         assert code == 0, step
         assert not numpy_loaded, f"numpy loaded by: {step}"
+    assert steps[-2][1][0] is True
     assert steps[-1][1][0] is True and steps[-1][1][2] == 0
     assert all(report["same"])
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heaviforge import cli, quadrature, stepfun
-from heaviforge.quadrature import CutoffParams, integrate_interval
+from heaviforge.quadrature import CutoffParams, eval_quadrature, integrate_interval
 from heaviforge.stepfun import (
     Backend,
     StepKind,
@@ -15,7 +15,6 @@ from heaviforge.stepfun import (
     eval_delta,
     eval_f,
     eval_q,
-    eval_quadrature,
     eval_rt,
     eval_step,
     eval_u,
@@ -257,15 +256,15 @@ def _reference_delta_integrand(x: float):
     # at a Python float x, so that x ** 3 is Python's pow, not numpy's power
     def g(t):
         z = t * x
-        return ((1.0 + z) * stepfun._density_np(z) - 2.0 * x * np.exp(-t * x * x)
-                + 2.0 * t * x ** 3 * np.exp(-t * x * x) - 2.0 * z * stepfun._cubed_density_np(z))
+        return ((1.0 + z) * quadrature._density_np(z) - 2.0 * x * np.exp(-t * x * x)
+                + 2.0 * t * x ** 3 * np.exp(-t * x * x) - 2.0 * z * quadrature._cubed_density_np(z))
     return g
 
 
 def _reference_row(name, x, params, tol):
     """One row as it ran before rows were batched: an ``integrate_*`` call
     that evaluates its own seed wave, at a float x."""
-    on_half_line, integrand_of, finish = stepfun._QUADRATURE[name]
+    on_half_line, integrand_of, finish = quadrature._QUADRATURE[name]
     integrate = quadrature.integrate_half_line if on_half_line else quadrature.integrate_tan_interval
     f = _reference_delta_integrand(x) if name == "delta" else integrand_of(x)
     r = integrate(f, params, tol)
@@ -331,7 +330,7 @@ def test_batched_column_warns_as_its_rows_one_by_one(name, xs):
         return failure, [(str(w.message), w.filename, w.lineno) for w in caught]
 
     def one_by_one():
-        on_half_line, integrand_of, _ = stepfun._QUADRATURE[name]
+        on_half_line, integrand_of, _ = quadrature._QUADRATURE[name]
         integrate = quadrature.integrate_half_line if on_half_line else quadrature.integrate_tan_interval
         for x in xs:
             integrate(integrand_of(x), CutoffParams(), 1e-9)
@@ -368,6 +367,22 @@ def test_table_backends_agree(T, U, tol, start, stop, rows):
         for x, quad in zip(xs, eval_quadrature(name, xs, params, tol)):
             raw = closed(x, params)
             assert abs(quad.value - raw) <= tol + 256 * 2.0**-52 * max(1.0, abs(raw)), (name, x)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(T=st.floats(1.0, 1000.0), U=st.floats(1.0, 1024.0, exclude_min=True))
+def test_tighter_tol_is_never_worse_beyond_rounding(T, U):
+    # not exactly monotone: a finer panel set can land a few ulp further
+    # from the closed form (5 ulp at most over 10,080 probed rows)
+    params = CutoffParams(half_line_T=T, indicator_scale_U=U)
+    xs = cli._grid(-8.0, 8.0, 0.8)
+    for name in FUNCTIONS:
+        closed = [cli._FUNCTIONS[name](x, params) for x in xs]
+        errors = [[abs(quad.value - raw) for quad, raw in zip(eval_quadrature(name, xs, params, tol), closed)]
+                  for tol in (1e-6, 1e-9, 1e-12)]
+        for loose, tight in zip(errors, errors[1:]):
+            for x, raw, e_loose, e_tight in zip(xs, closed, loose, tight):
+                assert e_tight <= e_loose + 16 * 2.0**-52 * max(1.0, abs(raw)), (name, x)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -64,6 +64,7 @@ from .xisets import (
     format_finite_set,
     grandi_demo,
     membership,
+    membership_index,
     xi_cap,
     xi_cup,
     xi_difference,

@@ -31,7 +31,7 @@ from .piecewise import InvalidInterval, InvalidSpec
 from .primes import pi_sieve_counts, plan_precision, prime_chain, sigma0_oracle
 from .setexpr import SetExprError, evaluate
 from .stepfun import StepKind, eval_c, eval_delta, eval_f, eval_q, eval_rt, eval_step, eval_u, snap
-from .xisets import ChainResult, XiSet, atom_key, format_finite_set, grandi_demo, membership
+from .xisets import ChainResult, XiSet, format_finite_set, grandi_demo, membership_index
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
@@ -185,11 +185,16 @@ def _cmd_table(args, params: CutoffParams) -> int:
 
 def _axis_range(values: list[float]) -> tuple[float, float]:
     """min and max of ``values``; a flat range is widened by 1.0 each way,
-    or, at a magnitude where rounding absorbs 1.0, by a relative pad."""
+    or, at a magnitude where rounding absorbs 1.0, by a relative pad, taken
+    twice on the other side where one side would overflow."""
     lo, hi = min(values), max(values)
     if hi != lo:
         return lo, hi
     pad = 1.0 if lo - 1.0 != hi + 1.0 else abs(lo) * 2.0**-40
+    if math.isinf(hi + pad):
+        return lo - 2 * pad, hi
+    if math.isinf(lo - pad):
+        return lo, hi + 2 * pad
     return lo - pad, hi + pad
 
 
@@ -283,19 +288,19 @@ def _cmd_xiset(args) -> int:
             print(f"dangling-tail {format_finite_set(result.dangling)}")
         return 0
     assert isinstance(result, XiSet)
-    print(f"xi_class {result.xi_class}")
-    print(f"components {result}")
-    atoms = sorted(set().union(*result.components), key=atom_key)
-    for atom in atoms:
-        report = membership(atom, result)
-        indices = ",".join(str(i) for i in sorted(report.index_set))
-        print(f"atom {atom}: mode={report.mode.value} T={{{indices}}}")
+    index_texts = list(map(str, range(result.xi_class + 1)))  # each index's text once
+    lines = [f"xi_class {result.xi_class}", f"components {result}"]
+    lines += [
+        f"atom {atom}: mode={mode.value} T={{{','.join(map(index_texts.__getitem__, t))}}}"
+        for atom, t, mode in membership_index(result)
+    ]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_grandi(args) -> int:
     sums, cesaro = grandi_demo(args.k)
-    print("partial_sums " + ",".join(str(s) for s in sums))
+    print("partial_sums " + ",".join(map(str, sums)))
     print(f"cesaro_mean {cesaro}")
     return 0
 

@@ -178,15 +178,17 @@ def prime_chain(plan: PrecisionPlan) -> tuple[list[float], list[float], list[flo
       scalar loop); the at most K + 1 remaining terms follow, left to right.
     """
     n_max, params = plan.n_max, plan.cutoffs
-    # sin(pi m / i) >= 2 m / i for m = min(r, i - r) <= i / 2, so once
-    # 4 U m^2 >= 800 i^2 the exponent -U sin^2 lies below -800, far enough
-    # below -745.13, under which math.exp returns exactly +0.0, to absorb the
-    # rounding of sin and of the products.  Adding +0.0 leaves a non-negative
-    # total unchanged, so the residues past this band change no bit.
-    band = math.sqrt(200.0 / params.indicator_scale_U)
+    # Every total starts at exactly 1.0, from the i = 1 term rt(0), and the
+    # terms are non-negative, so each total stays >= 1 and a later term below
+    # 2^-53, half an ulp of 1.0, rounds away when it is added.  sin(pi m / i)
+    # >= 2 m / i for m = min(r, i - r) <= i / 2, so once 4 U m^2 >= 40 i^2
+    # the exponent -U sin^2 lies below -40 and the term below e^-40 ~ 4.2e-18,
+    # 26 times under 2^-53, which leaves room for the rounding of sin and of
+    # the products.  The residues past this band therefore change no bit.
+    band = math.sqrt(10.0 / params.indicator_scale_U)
     totals = [0.0] * (n_max + 1)  # totals[n] = sigma0(n); entry 0 unused
     for i in range(1, n_max + 1):
-        m = min(i // 2, math.ceil(i * band))  # largest m whose term may be nonzero
+        m = min(i // 2, math.ceil(i * band))  # largest m whose term may change a total
         high = range(max(m + 1, i - m), i)  # residues r = i - m' with m' <= m
         for r in itertools.chain(range(m + 1), high):
             if i + r > n_max:

@@ -45,6 +45,7 @@ __all__ = [
     "MembershipMode",
     "MembershipReport",
     "membership",
+    "membership_index",
     "ChainStrategy",
     "SetExprChain",
     "ChainResult",
@@ -67,12 +68,20 @@ def atom_key(atom):
     return (1, 0, str(atom))
 
 
+def _set_text(texts: list[str]) -> str:
+    """One finite set in the expression-language syntax, from its atoms'
+    texts in order; theta is ``0``."""
+    return "{" + ",".join(texts) + "}" if texts else "0"
+
+
 def format_finite_set(s: Iterable[Hashable]) -> str:
     """Render a finite set in the expression-language syntax; theta is ``0``."""
-    items = sorted(s, key=atom_key)
-    if not items:
-        return "0"
-    return "{" + ",".join(str(a) for a in items) + "}"
+    return _set_text([str(a) for a in sorted(s, key=atom_key)])
+
+
+def _union_atoms(components: tuple[frozenset, ...]) -> list:
+    """The atoms of the union of ``components``, in ``atom_key`` order."""
+    return sorted(frozenset().union(*components), key=atom_key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +124,15 @@ class XiSet:
         return xi_difference(self, other)
 
     def __str__(self):
-        return " || ".join(format_finite_set(c) for c in self.components)
+        # format_finite_set per component, with one atom_key sort for the
+        # union: a component's atoms in rank order are in atom_key order.
+        # Atoms that compare equal (1, 1.0, True) are one atom of the union
+        # and print as the text of the first one seen.
+        atoms = _union_atoms(self.components)
+        rank, texts = dict(zip(atoms, range(len(atoms)))), list(map(str, atoms))
+        return " || ".join(
+            _set_text(list(map(texts.__getitem__, sorted(map(rank.__getitem__, c))))) for c in self.components
+        )
 
     def __repr__(self):
         return f"XiSet[{self}]"
@@ -170,6 +187,15 @@ class MembershipReport:
     mode: MembershipMode
 
 
+def _mode(count: int, xi_class: int) -> MembershipMode:
+    """ALL for an atom in every component, NONE in none, SOME otherwise."""
+    if not count:
+        return MembershipMode.NONE
+    if count == xi_class:
+        return MembershipMode.ALL
+    return MembershipMode.SOME
+
+
 def membership(atom: Hashable, x: XiSet) -> MembershipReport:
     """Indexed membership: T = { i : atom in component i }.
 
@@ -177,13 +203,23 @@ def membership(atom: Hashable, x: XiSet) -> MembershipReport:
     traditional "not a member"), SOME otherwise.
     """
     indices = frozenset(i for i, c in enumerate(x.components, start=1) if atom in c)
-    if not indices:
-        mode = MembershipMode.NONE
-    elif len(indices) == x.xi_class:
-        mode = MembershipMode.ALL
-    else:
-        mode = MembershipMode.SOME
-    return MembershipReport(atom=atom, index_set=indices, mode=mode)
+    return MembershipReport(atom=atom, index_set=indices, mode=_mode(len(indices), x.xi_class))
+
+
+def membership_index(x: XiSet) -> list[tuple[Hashable, list[int], MembershipMode]]:
+    """Indexed membership of every atom of the union, in one pass.
+
+    Returns ``(atom, T, mode)`` per atom in ``atom_key`` order, with T the
+    ascending 1-based indices of the components that hold the atom: the
+    index set and mode that :func:`membership` gives atom by atom, built by
+    one pass over the components instead of one scan per atom.  An atom
+    outside the union is absent; its mode is NONE.
+    """
+    hits = {atom: [] for atom in _union_atoms(x.components)}
+    for i, c in enumerate(x.components, start=1):
+        for atom in c:
+            hits[atom].append(i)
+    return [(atom, t, _mode(len(t), x.xi_class)) for atom, t in hits.items()]
 
 
 class ChainStrategy(enum.Enum):

@@ -306,6 +306,20 @@ def test_plot_flat_range_at_huge_magnitude(args):
     assert 'points="360.00,240.00"' in proc.stdout
 
 
+@pytest.mark.parametrize("x", ["1.7976931348623157e308", "-1.7976931348623157e308"])
+@pytest.mark.parametrize("function", ["f", "u"])
+def test_plot_flat_range_at_the_largest_float(function, x):
+    # a pad past the largest float would overflow; it is taken on the other side
+    proc = run_cli("plot", function, x, x, "1")
+    assert proc.returncode == 0, proc.stderr
+    labels = re.findall(r'font-size="12"[^>]*>([^<]*)</text>', proc.stdout)
+    assert len(labels) == 4
+    assert all(math.isfinite(float(label)) for label in labels)  # no inf or nan label
+    (point,) = re.findall(r'points="([^"]*)"', proc.stdout)
+    px, py = map(float, point.split(","))
+    assert 60.0 <= px <= 660.0 and py == 240.0
+
+
 # ---------------------------------------------------------------------------
 # primes
 

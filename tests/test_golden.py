@@ -23,6 +23,16 @@ from heaviforge import cli
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 FUNCTIONS = ("f", "c", "u", "q", "rt", "H1", "H2", "delta")
 TIGHT = ("--T", "25", "--eps", "0.05", "--tol", "1e-12")
+F_MAX = "1.7976931348623157e308"  # the largest float
+XI_WIDE = (  # the first xiset command of xiset_pass(7, 0) in bench/workloads.py
+    "{23}||{16,5,15,14,c,19,9,e,11,20,12,3}||{18,22,30,5,b,26,9}||{15,11,10,a,9,d}"
+    " | {8,20,27,7,10}||{c,6,15,20,f,9,7,13}||{12,9,e,11,10,b,1}||{b,9}||0"
+    "||{14,28,29,16,13,4,30,27,3,7,b,e,a}||{9,21,28,2,d,f,b,15,7,13,3}||{1,e,10}"
+    " \\ ({3,25,5,29,c,14,1}||{12,28,1,b,30}||{6,15,25,23,26,a,14,29,18,4,27}||{27}"
+    " | {17,25,9,a,22}||{21,7,b,10,3,5,9,20}||{2,24,12,20,19,a,9,22,25,c,10}"
+    "||{30,18,14,16,28,17,10,24,25,d}||{b,29,14,1,9,19}||{9,e,4}"
+    "||{11,1,20,6,8,3,14,16,d,12,13,b}||{24,15})"
+)
 
 # name -> (argv, exit code)
 CASES = {
@@ -37,6 +47,7 @@ CASES = {
     "plot_u_huge_csv": (["plot", "u", "-1e300", "1e300", "1e299", "--format", "csv"], 0),
     "plot_u_flat_huge": (["plot", "u", "-1e300", "-1e300", "1"], 0),  # x +- 1.0 rounds away
     "plot_delta_flat_huge": (["plot", "delta", "0", "0", "1", "--T", "1e300"], 0),  # y +- 1.0 too
+    "plot_f_flat_max": (["plot", "f", F_MAX, F_MAX, "1"], 0),  # x + pad overflows
     "primes_200": (["primes", "200"], 0),
     "primes_1000": (["primes", "1000"], 0),
     "primes_200_U2": (["primes", "200", "--U", "2"], 1),
@@ -44,6 +55,8 @@ CASES = {
     "primes_60_eps": (["primes", "60", "--eps", "0.05"], 1),
     "xiset": (["xiset", "{1}||{1,2} | {3}||0 & {1,3}||{2}"], 0),
     "xiset_chain": (["xiset", "chain", "{1,2}", "0", "6", "shifted"], 0),
+    # class 698, integer and name atoms, an empty component
+    "xiset_class_698": (["xiset", XI_WIDE], 0),
     "grandi": (["grandi", "7"], 0),
     **{f"table_{fn}": (["table", fn, "-2", "2", "0.125"], 0) for fn in FUNCTIONS},
     **{f"table_{fn}_tight": (["table", fn, "-0.5", "0.5", "0.03125", *TIGHT], 0) for fn in FUNCTIONS},

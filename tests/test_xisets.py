@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from heaviforge.setexpr import evaluate
 from heaviforge.xisets import (
     ChainStrategy,
     EMPTY_SET,
@@ -11,10 +14,12 @@ from heaviforge.xisets import (
     MembershipMode,
     SetExprChain,
     XiSet,
+    atom_key,
     eval_chain,
     format_finite_set,
     grandi_demo,
     membership,
+    membership_index,
     xi_cap,
     xi_cup,
     xi_difference,
@@ -283,3 +288,46 @@ def test_format_finite_set():
     assert format_finite_set(EMPTY_SET) == "0"
     assert format_finite_set(f({2, 1, 3})) == "{1,2,3}"
     assert format_finite_set(f({"b", "a"})) == "{a,b}"
+
+
+# ---------------------------------------------------------------------------
+# one atom order per xi-set: the printed form and the membership index
+
+# atoms as the expression language writes them: integers and names
+atoms = st.one_of(st.integers(0, 10**6), st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,3}", fullmatch=True))
+xisets = st.lists(st.frozensets(atoms, max_size=8), min_size=1, max_size=12).map(lambda cs: XiSet(tuple(cs)))
+MIXED = XiSet.of((), {10, 9, "b", "B", "_"}, {"b"}, {9, 100})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(xisets)
+@example(MIXED)
+@example(XiSet.of(()))
+def test_str_formats_each_component_as_a_finite_set(x):
+    assert str(x) == " || ".join(format_finite_set(c) for c in x.components)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(xisets)
+@example(MIXED)
+@example(XiSet.of(()))
+def test_str_round_trips_through_the_parser_in_component_order(x):
+    parsed = evaluate(str(x))
+    assert parsed == x
+    assert parsed.components == x.components
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(xisets)
+@example(MIXED)
+@example(XiSet.of({1, "a"}))
+def test_membership_index_equals_membership_atom_by_atom(x):
+    rows = membership_index(x)
+    assert [atom for atom, _, _ in rows] == sorted(frozenset().union(*x.components), key=atom_key)
+    for atom, t, mode in rows:
+        report = membership(atom, x)
+        assert t == sorted(report.index_set)
+        assert mode is report.mode
+    for outside in (10**7, "outside"):  # longer than any generated name
+        assert membership(outside, x).mode is MembershipMode.NONE
+        assert outside not in [atom for atom, _, _ in rows]

@@ -49,6 +49,7 @@ from .primes import (
     plan_precision,
     prime_chain,
     sigma0_analytic,
+    sigma0_counts,
     sigma0_oracle,
 )
 from .xisets import (

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .cutoffs import CutoffParams, QuadratureError
 from .piecewise import InvalidInterval, InvalidSpec
-from .primes import pi_sieve_counts, plan_precision, prime_chain, sigma0_oracle
+from .primes import pi_sieve_counts, plan_precision, prime_chain, sigma0_counts
 from .setexpr import SetExprError, evaluate
 from .stepfun import StepKind, eval_c, eval_delta, eval_f, eval_q, eval_rt, eval_step, eval_u, snap
 from .xisets import ChainResult, XiSet, format_finite_set, grandi_demo, membership_index
@@ -256,9 +256,8 @@ def _cmd_primes(args, params: CutoffParams) -> int:
 
     lines = ["n,sigma0_analytic,sigma0_exact,fes_snapped,pi_analytic,pi_sieve,match"]
     mismatches = 0
-    rows = zip(range(1, n_max + 1), *prime_chain(plan), pi_sieve_counts(n_max))
-    for n, sig, flag, pi_raw, pi_exact in rows:
-        sig_exact = sigma0_oracle(n)
+    rows = zip(range(1, n_max + 1), *prime_chain(plan), sigma0_counts(n_max), pi_sieve_counts(n_max))
+    for n, sig, flag, pi_raw, sig_exact, pi_exact in rows:
         fes_snapped = snap(flag, margin)
         ok = (
             round(sig) == sig_exact
@@ -267,9 +266,8 @@ def _cmd_primes(args, params: CutoffParams) -> int:
         )
         if not ok:
             mismatches += 1
-        lines.append(
-            f"{n},{_fmt(sig)},{sig_exact},{_fmt(fes_snapped)},{_fmt(pi_raw)},{pi_exact},{int(ok)}"
-        )
+        # _fmt's format for the raw columns, one % per row
+        lines.append("%d,%.17g,%d,%.17g,%.17g,%d,%d" % (n, sig, sig_exact, fes_snapped, pi_raw, pi_exact, ok))
     _emit("\n".join(lines) + "\n", args.out)
     print(f"primes n_max={n_max} U={_fmt(plan.indicator_scale_U)} mismatches={mismatches} of {n_max}",
           file=sys.stderr)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cutoffs import CutoffParams
-from .stepfun import StepKind, eval_rt, eval_step
+from .stepfun import StepKind, _h1, eval_rt, eval_step
 
 __all__ = [
     "OutOfPlan",
@@ -36,6 +36,7 @@ __all__ = [
     "plan_precision",
     "sigma0_analytic",
     "sigma0_oracle",
+    "sigma0_counts",
     "fes",
     "pi_analytic",
     "pi_sieve",
@@ -118,6 +119,20 @@ def sigma0_oracle(n: int) -> int:
     return count
 
 
+def sigma0_counts(n_max: int) -> list[int]:
+    """Exact divisor counts sigma0(n) for n = 1..n_max, entry n - 1 for n, from one sieve."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    counts = [0] * (n_max + 1)
+    # sigma0_oracle's rule: a divisor i <= sqrt(n) pairs with n // i >= i, so
+    # each such i counts 2, and 1 where the two coincide, at n = i * i
+    for i in range(1, math.isqrt(n_max) + 1):
+        counts[i * i] -= 1
+        for n in range(i * i, n_max + 1, i):
+            counts[n] += 2
+    return counts[1:]
+
+
 def _prime_flag(sigma0: float, plan: PrecisionPlan) -> float:
     return eval_rt(sigma0 - 2.0, plan.cutoffs)
 
@@ -185,7 +200,11 @@ def prime_chain(plan: PrecisionPlan) -> tuple[list[float], list[float], list[flo
     # the exponent -U sin^2 lies below -40 and the term below e^-40 ~ 4.2e-18,
     # 26 times under 2^-53, which leaves room for the rounding of sin and of
     # the products.  The residues past this band therefore change no bit.
-    band = math.sqrt(10.0 / params.indicator_scale_U)
+    U = params.indicator_scale_U
+    band = math.sqrt(10.0 / U)
+    # rt(x) is eval_rt's exp(-U * x * x), its operations in its order, with
+    # the lookups of exp, sin and pi and the negation of U made once
+    exp, sin, pi_, neg_U = math.exp, math.sin, math.pi, -U
     totals = [0.0] * (n_max + 1)  # totals[n] = sigma0(n); entry 0 unused
     for i in range(1, n_max + 1):
         m = min(i // 2, math.ceil(i * band))  # largest m whose term may change a total
@@ -193,22 +212,24 @@ def prime_chain(plan: PrecisionPlan) -> tuple[list[float], list[float], list[flo
         for r in itertools.chain(range(m + 1), high):
             if i + r > n_max:
                 break
-            term = eval_rt(math.sin(math.pi * r / i), params)
+            s = sin(pi_ * r / i)
+            term = exp(neg_U * s * s)
             for n in range(i + r, n_max + 1, i):
                 totals[n] += term
     sigma0 = totals[1:]
-    flags = [_prime_flag(s, plan) for s in sigma0]
+    flags = [exp(neg_U * d * d) for d in [s - 2.0 for s in sigma0]]  # rt(sigma0 - 2)
     # gates[j] = H1(n_max - 1 - j), offsets n_max - 1 down to -1; pi(n) pairs
     # flag i with gate n - i from j = n_max - n on, and min(n + 1, n_max)
     # terms in all, the cap of pi_analytic
-    gates = [eval_step(StepKind.H1, float(k), params) for k in range(n_max - 1, -2, -1)]
+    gates = [_h1(float(k), U) for k in range(n_max - 1, -2, -1)]
     # every gate of offset >= K is exactly 1.0: K is read off the gates
     K = 1 + max((n_max - 1 - j for j, gate in enumerate(gates) if gate != 1.0), default=-1)
     prefix = [0.0, *itertools.accumulate(flags)]  # prefix[h] = flags[0] + ... + flags[h - 1]
     pi = []
     for n in range(1, n_max + 1):
         h = max(n - K, 0)  # flags 1..h meet gates of offset >= K, all exactly 1.0
-        pi.append(_gated_count(flags[h:], gates[n_max - n + h :], prefix[h]))
+        # the live terms only: flags h + 1..min(n + 1, n_max), at most K + 1
+        pi.append(_gated_count(flags[h : n + 1], gates[n_max - n + h :], prefix[h]))
     return sigma0, flags, pi
 
 

@@ -8,8 +8,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heaviforge import cli
+from heaviforge.cutoffs import CutoffParams
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SRC = os.path.join(ROOT, "src")
@@ -381,6 +384,61 @@ def test_primes_rejects_zero_margin():
 def test_primes_rejects_out_of_range():
     assert run_cli("primes", "0").returncode == 2
     assert run_cli("primes", "10001").returncode == 2
+
+
+# scale values at the edges of CutoffParams and of prime_chain's divisor band
+PRIMES_SCALE_EDGES = [math.nextafter(1.0, 2.0), 2.0, 800.0, 801.0, 1e300, math.inf, math.nan, math.pi / 4]
+
+
+@st.composite
+def primes_argv(draw):
+    scale = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from(["--U", "--eps"]), st.sampled_from(PRIMES_SCALE_EDGES))))
+    U = None
+    if scale is not None:
+        option, value = scale
+        try:
+            field = "indicator_scale_U" if option == "--U" else "tan_margin_eps"
+            U = CutoffParams(**{field: value}).indicator_scale_U
+        except ValueError:
+            pass  # refused: the command exits 2 before any chain runs
+    # below about 1e6 the divisor band keeps a share of every residue class,
+    # so the chain stays quadratic (primes 10000 --U 801 takes seconds)
+    n_max = draw(st.integers(-3, 400 if U is not None and U < 1e6 else 10_003))
+    argv = ["primes", str(n_max)]
+    if scale is not None:
+        argv += [scale[0], repr(scale[1])]
+    if draw(st.booleans()):
+        argv += ["--format", "csv"]
+    return argv
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(argv=primes_argv())
+@example(argv=["primes", "10000"])
+@example(argv=["primes", "10003"])
+@example(argv=["primes", "-3", "--format", "csv"])
+@example(argv=["primes", "400", "--U", "801"])
+@example(argv=["primes", "400", "--U", repr(math.nextafter(1.0, 2.0))])
+@example(argv=["primes", "10000", "--U", "1e+300"])
+@example(argv=["primes", "10", "--U", "nan"])
+@example(argv=["primes", "10", "--eps", repr(math.pi / 4)])
+def test_primes_argv_returns_a_result_or_exits_2(argv):
+    code, out, err = run_in_process(argv)  # an exception other than SystemExit fails here
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "" and "Traceback" not in err
+        return
+    n_max = int(argv[1])
+    summary = re.fullmatch(rf"primes n_max={n_max} U=\S+ mismatches=(\d+) of {n_max}\n", err)
+    assert summary, err
+    mismatches = int(summary.group(1))
+    assert (mismatches > 0) == (code == 1)
+    lines = out.split("\n")
+    assert lines.pop() == ""  # one LF after the last row
+    assert len(lines) == n_max + 1
+    assert all(line.count(",") == 6 for line in lines)
+    assert sum(line.endswith(",0") for line in lines[1:]) == mismatches
 
 
 # ---------------------------------------------------------------------------

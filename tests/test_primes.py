@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import math
+import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heaviforge import cli
 from heaviforge.primes import (
     OutOfPlan,
     PrecisionPlan,
@@ -16,6 +21,7 @@ from heaviforge.primes import (
     plan_precision,
     prime_chain,
     sigma0_analytic,
+    sigma0_counts,
     sigma0_oracle,
 )
 from heaviforge.stepfun import StepKind, eval_step, snap
@@ -122,6 +128,17 @@ def test_pi_sieve_counts_rejects_an_empty_range():
         pi_sieve_counts(0)
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3, 360, 5040])
+def test_sigma0_counts_is_sigma0_oracle_at_every_n(n_max):
+    assert sigma0_counts(n_max) == [sigma0_oracle(n) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_sigma0_counts_rejects_an_empty_range(n_max):
+    with pytest.raises(ValueError):
+        sigma0_counts(n_max)
+
+
 # ---------------------------------------------------------------------------
 # the analytic chain against the oracles
 
@@ -194,6 +211,43 @@ def test_prime_chain_is_the_scalar_chain_for_any_scale(n_max, U):
         terms = range(1, min(n + 1, n_max) + 1)
         gates = [eval_step(StepKind.H1, float(n - i), plan.cutoffs) for i in terms]
         assert pi[n - 1] == _gated_count(flags[: len(terms)], gates), n
+
+
+def chain_digest(plan):
+    # sha256 over the little-endian float bits of sigma0, then fes, then pi
+    digest = hashlib.sha256()
+    for column in prime_chain(plan):
+        digest.update(struct.pack("<%dd" % len(column), *column))
+    return digest.hexdigest()
+
+
+# digests of the chain at the sizes where its offset bookkeeping matters,
+# taken from the code before the pi step was bounded to its live terms
+CHAIN_DIGESTS = {
+    (940, None): "cb90f567454a41f0606d772b4a9dda3dd1ad51a2f4d94e18694678cd588df4ae",
+    (2000, None): "19decf72f051522afd3b12de43c6f1a5f01706b99eefce1ab490b90532892885",
+    (10_000, None): "6b831e37207d48e0e36fe20cdb287b9c1b60984e6b1e1aec23e35909cabb9ab4",
+    (1000, 2.0): "fa4e3489fc9d0d5e3012b25425115a6eb15324ba806b3fbc85678b7a95756b9b",
+    (1000, 801.0): "39e57f2c5cf464ec9909a03c8ba7570af06f19ab7703ece7396dea9f5090148c",
+}
+
+
+@pytest.mark.parametrize("n_max,U", CHAIN_DIGESTS, ids=str)
+def test_prime_chain_bits_are_pinned_at_large_n(n_max, U):
+    plan = plan_precision(n_max)
+    if U is not None:
+        plan = dataclasses.replace(plan, indicator_scale_U=U)
+    assert chain_digest(plan) == CHAIN_DIGESTS[n_max, U]
+
+
+def test_primes_10000_stdout_is_pinned():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["primes", "10000"])
+    assert code == 0
+    assert err.getvalue() == "primes n_max=10000 U=134217728 mismatches=0 of 10000\n"
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "1d6311090dacd27e6b1a2d62cad3810e19baa5c872f9e57557eeb28ca1a39f01"
 
 
 def test_out_of_plan_errors():

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    heaviforge eval FUNCTION X [--T] [--U | --eps] [--tol] [--snap-atol]
+    heaviforge eval FUNCTION X [--T] [--U | --eps] [--snap-atol]
     heaviforge table FUNCTION START STOP STEP [--T] [--U | --eps] [--tol]
                      [--snap-atol] [--out PATH] [--format csv]
     heaviforge plot FUNCTION START STOP STEP [--T] [--U | --eps] [--out PATH]
@@ -30,7 +30,7 @@ from .cutoffs import CutoffParams, QuadratureError
 from .piecewise import InvalidInterval, InvalidSpec
 from .primes import pi_sieve_counts, plan_precision, prime_chain, sigma0_counts
 from .setexpr import SetExprError, evaluate
-from .stepfun import StepKind, eval_c, eval_delta, eval_f, eval_q, eval_rt, eval_step, eval_u, snap
+from .stepfun import FAMILY as _FUNCTIONS, snap  # CLI name -> evaluator fn(x, params)
 from .xisets import ChainResult, XiSet, format_finite_set, grandi_demo, membership_index
 
 USAGE_ERROR = 2
@@ -38,20 +38,6 @@ MISMATCH_ERROR = 1
 MAX_GRID_ROWS = 1_000_000
 # argparse's own pattern misses exponents and would read "-1e-3" as an option
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-# CLI name -> closed form fn(x, params); table's quadrature column comes
-# from quadrature.eval_quadrature
-_FUNCTIONS = {
-    "f": eval_f,
-    "c": eval_c,
-    "u": eval_u,
-    "q": eval_q,
-    "rt": eval_rt,
-    "H1": lambda x, params: eval_step(StepKind.H1, x, params),
-    "H2": lambda x, params: eval_step(StepKind.H2, x, params),
-    "delta": eval_delta,
-}
-
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
@@ -79,7 +65,7 @@ _OPTIONS = {
     "--eps": (dict(type=_finite, default=None, help="tangent-interval margin before pi/2"),
               ("eval", "table", "plot", "primes")),
     "--tol": (dict(type=_finite, default=1e-9, help="quadrature tolerance (default 1e-9)"),
-              ("eval", "table")),
+              ("table",)),
     "--snap-atol": (dict(type=_finite, default=1e-6, help="snapping tolerance (default 1e-6)"),
                     ("eval", "table")),
     "--out": (dict(default=None, help="write output to this path instead of stdout"),
@@ -149,10 +135,10 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _cutoff_summary(params: CutoffParams, tol: float, snap_atol: float) -> str:
+def _cutoff_summary(params: CutoffParams, snap_atol: float) -> str:
     return (
         f"cutoffs T={params.half_line_T!r} eps={params.tan_margin_eps!r} "
-        f"U={params.indicator_scale_U!r} tol={tol!r} snap_atol={snap_atol!r}"
+        f"U={params.indicator_scale_U!r} snap_atol={snap_atol!r}"
     )
 
 
@@ -160,7 +146,7 @@ def _cmd_eval(args, params: CutoffParams) -> int:
     fn = _FUNCTIONS[args.function]
     raw = fn(args.x, params)
     print(f"{args.function}({_fmt(args.x)}) raw={_fmt(raw)} snapped={_fmt(snap(raw, args.snap_atol))}")
-    print(_cutoff_summary(params, args.tol, args.snap_atol))
+    print(_cutoff_summary(params, args.snap_atol))
     return 0
 
 

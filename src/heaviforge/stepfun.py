@@ -13,11 +13,14 @@ value is a discrete limit:
     H1(x) = H2(x) + rt(x)/2       (step with value 1 at the origin)
     delta_T(x) = T e^{Tx}/(1+e^{Tx})^2 - 2 T x e^{-T x^2}  (nascent delta)
 
-Each evaluator supports two backends that must agree within tolerance: the
-closed form above, and adaptive quadrature of the defining integrand.  This
-module holds the closed forms only; the integrands and the row loop of the
-quadrature backend (``eval_quadrature``) live in :mod:`quadrature`, which the
-first quadrature-backend call imports, numpy with it.  The
+``FAMILY`` is the one home of the function names: it maps each CLI name
+(``f c u q rt H1 H2 delta``) to its evaluator, and the public ``eval_*``
+names are bound from it.  Each evaluator supports two backends that must
+agree within tolerance: the closed form above, and adaptive quadrature of the
+defining integrand.  This module holds the closed forms only; the integrands
+and the row loop of the quadrature backend (``eval_quadrature``) live in
+:mod:`quadrature`, which the first quadrature-backend call imports, numpy
+with it.  The
 truncation error of the closed forms against the exact discrete limits decays
 like e^{-T|x|} / e^{-U x^2}, so cutoffs in the tens already reproduce the
 discrete tables to machine-irrelevant error away from the transition region.
@@ -39,6 +42,7 @@ __all__ = [
     "Backend",
     "StepKind",
     "DEFAULT_CUTOFFS",
+    "FAMILY",
     "snap",
     "eval_f",
     "eval_c",
@@ -99,77 +103,72 @@ def _density(z: float) -> float:
     return a / ((1.0 + a) * (1.0 + a))
 
 
-def _quadrature_value(name: str, x: float, params: CutoffParams, tol: float) -> float:
-    from . import quadrature  # numpy, loaded by the quadrature backend only
-
-    return quadrature.eval_quadrature(name, (x,), params, tol)[0].value
-
-
 # -- evaluators --------------------------------------------------------------
 
-def eval_f(
-    x: float,
-    params: CutoffParams | None = None,
-    backend: Backend = Backend.CLOSED_FORM,
-    tol: float = 1e-9,
-) -> float:
-    """Odd ramp over the half-line: -1/2 for x<0, 0 at 0, +1/2 for x>0."""
-    params = params or DEFAULT_CUTOFFS
-    if backend is Backend.CLOSED_FORM:
-        return _ramp(x * params.half_line_T)
-    return _quadrature_value("f", x, params, tol)
+def _evaluator(name: str, closed, doc: str):
+    """The evaluator of the family member ``name``: ``closed(x, params)`` on
+    the closed-form backend, one row of ``quadrature.eval_quadrature`` on
+    the quadrature backend."""
+    def evaluator(
+        x: float,
+        params: CutoffParams | None = None,
+        backend: Backend = Backend.CLOSED_FORM,
+        tol: float = 1e-9,
+    ) -> float:
+        params = params or DEFAULT_CUTOFFS
+        if backend is Backend.CLOSED_FORM:
+            return closed(x, params)
+        from . import quadrature  # numpy, loaded by the quadrature backend only
+
+        return quadrature.eval_quadrature(name, (x,), params, tol)[0].value
+
+    evaluator.__name__ = evaluator.__qualname__ = f"eval_{name}"
+    evaluator.__doc__ = doc
+    return evaluator
 
 
-def eval_c(
-    x: float,
-    params: CutoffParams | None = None,
-    backend: Backend = Backend.CLOSED_FORM,
-    tol: float = 1e-9,
-) -> float:
-    """Tangent-interval twin of :func:`eval_f`; identical values when U = T."""
-    params = params or DEFAULT_CUTOFFS
-    if backend is Backend.CLOSED_FORM:
-        return _ramp(x * params.indicator_scale_U)
-    return _quadrature_value("c", x, params, tol)
+def _delta(x: float, params: CutoffParams) -> float:
+    """Closed-form nascent delta, finite at every x and T."""
+    T = params.half_line_T
+    if math.isinf(x):
+        return 0.0  # the limit of both terms; x e^{-T x^2} would be inf * 0
+    value = T * _density(T * x) - 2.0 * T * x * math.exp(-T * x * x)
+    if math.isfinite(value):
+        return value
+    # 2 T (or 2 T x) overflowed; x e^{-T x^2} first, T last stays finite,
+    # since 2 T x e^{-T x^2} peaks at sqrt(2 T / e)
+    return T * _density(T * x) - x * math.exp(-T * x * x) * 2.0 * T
 
 
-def eval_u(
-    x: float,
-    params: CutoffParams | None = None,
-    backend: Backend = Backend.CLOSED_FORM,
-    tol: float = 1e-9,
-) -> float:
-    """Nonzero indicator over the half-line: 1 - e^{-T x^2}, in [0, 1)."""
-    params = params or DEFAULT_CUTOFFS
-    if backend is Backend.CLOSED_FORM:
-        return -math.expm1(-params.half_line_T * x * x)
-    return _quadrature_value("u", x, params, tol)
+# CLI name -> evaluator fn(x, params=None, backend=CLOSED_FORM, tol=1e-9);
+# the twins f/c and u/q differ only in the scale their kernel reads
+FAMILY = {
+    "f": _evaluator("f", lambda x, p: _ramp(x * p.half_line_T),
+                    "Odd ramp over the half-line: -1/2 for x<0, 0 at 0, +1/2 for x>0."),
+    "c": _evaluator("c", lambda x, p: _ramp(x * p.indicator_scale_U),
+                    "Tangent-interval twin of :func:`eval_f`; identical values when U = T."),
+    "u": _evaluator("u", lambda x, p: -math.expm1(-p.half_line_T * x * x),
+                    "Nonzero indicator over the half-line: 1 - e^{-T x^2}, in [0, 1)."),
+    "q": _evaluator("q", lambda x, p: -math.expm1(-p.indicator_scale_U * x * x),
+                    "Nonzero indicator over the tangent interval: 1 - e^{-U x^2}."),
+    "rt": _evaluator("rt", lambda x, p: math.exp(-p.indicator_scale_U * x * x),
+                     "Zero indicator rt(x) = 1 - q(x) = e^{-U x^2}, in (0, 1]; 1 iff x = 0."),
+    "H1": _evaluator("H1", lambda x, p: _h1(x, p.indicator_scale_U),
+                     "Unit step at scale U with value 1 at the origin: H2(x) + rt(x)/2."),
+    "H2": _evaluator("H2", lambda x, p: 0.5 + _ramp(x * p.indicator_scale_U),
+                     "Unit step at scale U with value 1/2 at the origin: c(x) + 1/2."),
+    "delta": _evaluator("delta", _delta, """Nascent delta at scale T.
 
-
-def eval_q(
-    x: float,
-    params: CutoffParams | None = None,
-    backend: Backend = Backend.CLOSED_FORM,
-    tol: float = 1e-9,
-) -> float:
-    """Nonzero indicator over the tangent interval: 1 - e^{-U x^2}."""
-    params = params or DEFAULT_CUTOFFS
-    if backend is Backend.CLOSED_FORM:
-        return -math.expm1(-params.indicator_scale_U * x * x)
-    return _quadrature_value("q", x, params, tol)
-
-
-def eval_rt(
-    x: float,
-    params: CutoffParams | None = None,
-    backend: Backend = Backend.CLOSED_FORM,
-    tol: float = 1e-9,
-) -> float:
-    """Zero indicator rt(x) = 1 - q(x) = e^{-U x^2}, in (0, 1]; 1 iff x = 0."""
-    params = params or DEFAULT_CUTOFFS
-    if backend is Backend.CLOSED_FORM:
-        return math.exp(-params.indicator_scale_U * x * x)
-    return _quadrature_value("rt", x, params, tol)
+    Closed form T e^{Tx}/(1+e^{Tx})^2 - 2 T x e^{-T x^2}: the logistic
+    density term carries the unit mass and peaks at delta(0) = T/4 (finite
+    by design; the exact delta's infinity is represented by growth in T),
+    while the odd Gaussian term integrates to zero over symmetric intervals.
+    The quadrature backend integrates the x-derivative of the ramp and
+    indicator integrands, summed into one integrand, to ``tol`` in a single
+    pass rather than differencing numerically.
+    """),
+}
+eval_f, eval_c, eval_u, eval_q, eval_rt, eval_delta = (FAMILY[n] for n in ("f", "c", "u", "q", "rt", "delta"))
 
 
 def eval_step(
@@ -184,40 +183,4 @@ def eval_step(
     H2 = c(x) + 1/2 (a logistic in closed form, strictly increasing);
     H1 = H2(x) + rt(x)/2, which lifts the origin value to exactly 1.
     """
-    params = params or DEFAULT_CUTOFFS
-    U = params.indicator_scale_U
-    if backend is Backend.CLOSED_FORM:
-        if kind is StepKind.H2:
-            return 0.5 + _ramp(x * U)
-        return _h1(x, U)
-    return _quadrature_value(kind.value, x, params, tol)
-
-
-def eval_delta(
-    x: float,
-    params: CutoffParams | None = None,
-    backend: Backend = Backend.CLOSED_FORM,
-    tol: float = 1e-9,
-) -> float:
-    """Nascent delta at scale T.
-
-    Closed form T e^{Tx}/(1+e^{Tx})^2 - 2 T x e^{-T x^2}: the logistic
-    density term carries the unit mass and peaks at delta(0) = T/4 (finite
-    by design; the exact delta's infinity is represented by growth in T),
-    while the odd Gaussian term integrates to zero over symmetric intervals.
-    The quadrature backend integrates the x-derivative of the ramp and
-    indicator integrands, summed into one integrand, to ``tol`` in a single
-    pass rather than differencing numerically.
-    """
-    params = params or DEFAULT_CUTOFFS
-    T = params.half_line_T
-    if backend is Backend.CLOSED_FORM:
-        if math.isinf(x):
-            return 0.0  # the limit of both terms; x e^{-T x^2} would be inf * 0
-        value = T * _density(T * x) - 2.0 * T * x * math.exp(-T * x * x)
-        if math.isfinite(value):
-            return value
-        # 2 T (or 2 T x) overflowed; x e^{-T x^2} first, T last stays finite,
-        # since 2 T x e^{-T x^2} peaks at sqrt(2 T / e)
-        return T * _density(T * x) - x * math.exp(-T * x * x) * 2.0 * T
-    return _quadrature_value("delta", x, params, tol)
+    return FAMILY[kind.value](x, params, backend, tol)

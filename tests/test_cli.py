@@ -124,6 +124,7 @@ def test_conflicting_scale_flags_exit_2():
     ("primes", "5", "--tol", "1e-3"),
     ("plot", "f", "0", "1", "0.5", "--tol", "1e-3"),
     ("plot", "f", "0", "1", "0.5", "--snap-atol", "1e-3"),
+    ("eval", "f", "1", "--tol", "1e-3"),  # eval reports the closed form only
 ])
 def test_options_a_subcommand_would_ignore_exit_2(args, tmp_path):
     proc = run_cli(*args, cwd=tmp_path)
@@ -137,12 +138,36 @@ def test_options_a_subcommand_would_ignore_exit_2(args, tmp_path):
     ("table", "f", "0", "1", "0.5", "--format", "csv"),
     ("primes", "5", "--format", "csv"),
     ("plot", "f", "0", "1", "0.5", "--format", "svg", "--T", "7", "--eps", "0.2"),
-    ("eval", "rt", "0.1", "--snap-atol", "0.5", "--tol", "1e-3", "--T", "7", "--eps", "0.2"),
+    ("eval", "rt", "0.1", "--snap-atol", "0.5", "--T", "7", "--eps", "0.2"),
 ])
 def test_options_a_subcommand_honours_are_accepted(args):
     proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout != ""
+
+
+def test_readme_option_table_matches_the_parser():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Command-line interface", 1)[1]
+    header, _, *rows = section[section.index("| option |"):].split("\n\n", 1)[0].splitlines()
+
+    def cells_of(line):
+        return [cell.strip() for cell in line.strip("|").split("|")]
+
+    commands = [cell.strip("`") for cell in cells_of(header)[1:]]
+    parser_commands = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+    assert commands == list(parser_commands)
+    options, formats = {}, {}
+    for row in rows:
+        option, *cells = cells_of(row)
+        if option == "`--format`":
+            formats = {c: re.findall(r"`(\w+)`", cell) for c, cell in zip(commands, cells) if cell}
+            continue
+        honoured = tuple(c for c, cell in zip(commands, cells) if cell == "yes")
+        for name in re.findall(r"`(--[\w-]+)", option):
+            options[name] = honoured
+    assert options == {name: commands for name, (_, commands) in cli._OPTIONS.items()}
+    assert formats == cli._FORMATS
 
 
 @pytest.mark.parametrize("args,out", [
@@ -160,7 +185,7 @@ def test_unwritable_out_exits_2(args, out, tmp_path):
 
 @pytest.mark.parametrize("args", [
     ("eval", "H1", "nan"),
-    ("eval", "H1", "0", "--tol", "inf"),
+    ("table", "H1", "0", "1", "0.5", "--tol", "inf"),
     ("table", "H1", "nan", "1", "0.5"),
     ("table", "H1", "0", "inf", "0.5"),
     ("plot", "H1", "0", "1", "inf"),

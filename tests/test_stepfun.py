@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -34,6 +35,52 @@ def logistic_tail(z):
     # oracle for 1/(1 + e^z) at large positive z
     a = math.exp(-z)
     return a / (1.0 + a)
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+def _function_choices(command):
+    subcommands = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return next(set(a.choices) for a in subcommands.choices[command]._actions if a.dest == "function")
+
+
+def test_the_family_is_named_once():
+    assert set(stepfun.FAMILY) == set(quadrature._QUADRATURE) == set(FUNCTIONS)
+    assert cli._FUNCTIONS is stepfun.FAMILY
+    for command in ("eval", "table", "plot"):
+        assert _function_choices(command) == set(FUNCTIONS)
+    for name in ("f", "c", "u", "q", "rt", "delta"):
+        assert stepfun.FAMILY[name] is getattr(stepfun, f"eval_{name}")
+    for kind in StepKind:
+        assert eval_step(kind, 0.25, U50) == stepfun.FAMILY[kind.value](0.25, U50)
+
+
+# public evaluator -> the first line of its docstring
+PUBLIC_EVALUATORS = {
+    eval_f: "Odd ramp over the half-line: -1/2 for x<0, 0 at 0, +1/2 for x>0.",
+    eval_c: "Tangent-interval twin of :func:`eval_f`; identical values when U = T.",
+    eval_u: "Nonzero indicator over the half-line: 1 - e^{-T x^2}, in [0, 1).",
+    eval_q: "Nonzero indicator over the tangent interval: 1 - e^{-U x^2}.",
+    eval_rt: "Zero indicator rt(x) = 1 - q(x) = e^{-U x^2}, in (0, 1]; 1 iff x = 0.",
+    eval_step: "Unit step at scale U.",
+    eval_delta: "Nascent delta at scale T.",
+}
+
+
+@pytest.mark.parametrize("fn", PUBLIC_EVALUATORS, ids=lambda fn: fn.__name__)
+def test_public_evaluators_keep_their_face(fn):
+    assert fn.__name__ in stepfun.__all__ and getattr(stepfun, fn.__name__) is fn
+    assert fn.__qualname__ == fn.__name__
+    assert fn.__module__ == "heaviforge.stepfun"
+    assert fn.__doc__.splitlines()[0] == PUBLIC_EVALUATORS[fn]
+    signature = [(p.name, p.default, p.kind) for p in inspect.signature(fn).parameters.values()]
+    positional, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+    expected = [("x", empty, positional), ("params", None, positional),
+                ("backend", Backend.CLOSED_FORM, positional), ("tol", 1e-9, positional)]
+    if fn is eval_step:
+        expected.insert(0, ("kind", empty, positional))
+    assert signature == expected
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +338,7 @@ def test_batched_column_equals_one_row_calls(name, params, tol, grid, refines):
     assert batched == one_row == reference
     if refines:
         assert len({evals for _, _, evals in batched}) > 1
-    scalar = {"H1": lambda x: eval_step(StepKind.H1, x, params, QUAD, tol),
-              "H2": lambda x: eval_step(StepKind.H2, x, params, QUAD, tol)}.get(
-        name, lambda x: cli._FUNCTIONS[name](x, params, QUAD, tol))
-    assert [scalar(x) for x in xs] == [value for value, _, _ in batched]
+    assert [stepfun.FAMILY[name](x, params, QUAD, tol) for x in xs] == [value for value, _, _ in batched]
 
 
 def test_batched_column_raises_for_the_first_failing_row():

@@ -27,11 +27,10 @@ import sys
 from typing import Sequence
 
 from .cutoffs import CutoffParams, QuadratureError
-from .piecewise import InvalidInterval, InvalidSpec
 from .primes import pi_sieve_counts, plan_precision, prime_chain, sigma0_counts
-from .setexpr import SetExprError, evaluate
+from .setexpr import evaluate
 from .stepfun import FAMILY as _FUNCTIONS, snap  # CLI name -> evaluator fn(x, params)
-from .xisets import ChainResult, XiSet, format_finite_set, grandi_demo, membership_index
+from .xisets import ChainResult, format_finite_set, grandi_demo, membership_index
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
@@ -41,11 +40,6 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
-
-
-def _usage_fail(message: str) -> int:
-    print(f"heaviforge: error: {message}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def _finite(text: str) -> float:
@@ -135,22 +129,22 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _cutoff_summary(params: CutoffParams, snap_atol: float) -> str:
-    return (
+# Each handler takes the parsed args and the CutoffParams of the subcommands
+# that take --U (None for the others), and returns its stdout lines, its
+# exit code and its one-line stderr summary or None; main writes all three.
+Result = tuple[list[str], int, str | None]
+
+
+def _cmd_eval(args, params: CutoffParams) -> Result:
+    raw = _FUNCTIONS[args.function](args.x, params)
+    return [
+        f"{args.function}({_fmt(args.x)}) raw={_fmt(raw)} snapped={_fmt(snap(raw, args.snap_atol))}",
         f"cutoffs T={params.half_line_T!r} eps={params.tan_margin_eps!r} "
-        f"U={params.indicator_scale_U!r} snap_atol={snap_atol!r}"
-    )
+        f"U={params.indicator_scale_U!r} snap_atol={args.snap_atol!r}",
+    ], 0, None
 
 
-def _cmd_eval(args, params: CutoffParams) -> int:
-    fn = _FUNCTIONS[args.function]
-    raw = fn(args.x, params)
-    print(f"{args.function}({_fmt(args.x)}) raw={_fmt(raw)} snapped={_fmt(snap(raw, args.snap_atol))}")
-    print(_cutoff_summary(params, args.snap_atol))
-    return 0
-
-
-def _table_rows(args, params: CutoffParams) -> list[str]:
+def _cmd_table(args, params: CutoffParams) -> Result:
     from .quadrature import eval_quadrature  # numpy, which only table needs
 
     fn = _FUNCTIONS[args.function]
@@ -161,12 +155,7 @@ def _table_rows(args, params: CutoffParams) -> list[str]:
         raw = fn(x, params)
         snapped = snap(raw, args.snap_atol)
         lines.append(f"{_fmt(x)},{_fmt(raw)},{_fmt(snapped)},{_fmt(abs(quad.value - raw))}")
-    return lines
-
-
-def _cmd_table(args, params: CutoffParams) -> int:
-    _emit("\n".join(_table_rows(args, params)) + "\n", args.out)
-    return 0
+    return lines, 0, None
 
 
 def _axis_range(values: list[float]) -> tuple[float, float]:
@@ -184,7 +173,7 @@ def _axis_range(values: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _render_svg(xs: list[float], ys: list[float], label: str) -> str:
+def _render_svg(xs: list[float], ys: list[float], label: str) -> list[str]:
     width, height, margin = 720.0, 480.0, 60.0
     (x_lo, x_hi), (y_lo, y_hi) = _axis_range(xs), _axis_range(ys)
 
@@ -197,7 +186,7 @@ def _render_svg(xs: list[float], ys: list[float], label: str) -> str:
         "%.2f,%.2f" % (margin + (x - x_lo) / x_span * x_room, y_base - (y - y_lo) / y_span * y_room)
         for x, y in zip(xs, ys)
     ])
-    parts = [
+    return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
@@ -214,23 +203,20 @@ def _render_svg(xs: list[float], ys: list[float], label: str) -> str:
         f'<polyline fill="none" stroke="steelblue" stroke-width="1.5" points="{points}"/>',
         "</svg>",
     ]
-    return "\n".join(parts) + "\n"
 
 
-def _cmd_plot(args, params: CutoffParams) -> int:
+def _cmd_plot(args, params: CutoffParams) -> Result:
     fn = _FUNCTIONS[args.function]
     xs = _grid(args.start, args.stop, args.step)
     ys = [fn(x, params) for x in xs]
     if args.format == "csv":
         lines = ["x,raw"] + ["%.17g,%.17g" % xy for xy in zip(xs, ys)]  # _fmt's format, one % per row
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        label = f"{args.function}  T={_fmt(params.half_line_T)} U={_fmt(params.indicator_scale_U)}"
-        _emit(_render_svg(xs, ys, label), args.out)
-    return 0
+        return lines, 0, None
+    label = f"{args.function}  T={_fmt(params.half_line_T)} U={_fmt(params.indicator_scale_U)}"
+    return _render_svg(xs, ys, label), 0, None
 
 
-def _cmd_primes(args, params: CutoffParams) -> int:
+def _cmd_primes(args, params: CutoffParams) -> Result:
     n_max = args.n_max
     if not 1 <= n_max <= 10_000:
         raise ValueError(f"n_max must lie in [1, 10000], got {n_max!r}")
@@ -254,64 +240,59 @@ def _cmd_primes(args, params: CutoffParams) -> int:
             mismatches += 1
         # _fmt's format for the raw columns, one % per row
         lines.append("%d,%.17g,%d,%.17g,%.17g,%d,%d" % (n, sig, sig_exact, fes_snapped, pi_raw, pi_exact, ok))
-    _emit("\n".join(lines) + "\n", args.out)
-    print(f"primes n_max={n_max} U={_fmt(plan.indicator_scale_U)} mismatches={mismatches} of {n_max}",
-          file=sys.stderr)
-    return MISMATCH_ERROR if mismatches else 0
+    summary = f"primes n_max={n_max} U={_fmt(plan.indicator_scale_U)} mismatches={mismatches} of {n_max}"
+    return lines, MISMATCH_ERROR if mismatches else 0, summary
 
 
-def _cmd_xiset(args) -> int:
+def _cmd_xiset(args, params: None) -> Result:
     result = evaluate(" ".join(args.expr))
     if isinstance(result, ChainResult):
-        print(f"result {format_finite_set(result.value)}")
-        print(f"strategy {result.strategy.value}")
-        print(f"groups {result.groups}")
-        if result.dangling is None:
-            print("dangling-tail none")
-        else:
-            print(f"dangling-tail {format_finite_set(result.dangling)}")
-        return 0
-    assert isinstance(result, XiSet)
+        dangling = "none" if result.dangling is None else format_finite_set(result.dangling)
+        return [
+            f"result {format_finite_set(result.value)}",
+            f"strategy {result.strategy.value}",
+            f"groups {result.groups}",
+            f"dangling-tail {dangling}",
+        ], 0, None
     index_texts = list(map(str, range(result.xi_class + 1)))  # each index's text once
     lines = [f"xi_class {result.xi_class}", f"components {result}"]
     lines += [
         f"atom {atom}: mode={mode.value} T={{{','.join(map(index_texts.__getitem__, t))}}}"
         for atom, t, mode in membership_index(result)
     ]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return lines, 0, None
 
 
-def _cmd_grandi(args) -> int:
+def _cmd_grandi(args, params: None) -> Result:
     sums, cesaro = grandi_demo(args.k)
-    print("partial_sums " + ",".join(map(str, sums)))
-    print(f"cesaro_mean {cesaro}")
-    return 0
+    return ["partial_sums " + ",".join(map(str, sums)), f"cesaro_mean {cesaro}"], 0, None
 
 
-_CUTOFF_COMMANDS = {"eval": _cmd_eval, "table": _cmd_table, "plot": _cmd_plot, "primes": _cmd_primes}
+_COMMANDS = {
+    "eval": _cmd_eval, "table": _cmd_table, "plot": _cmd_plot,
+    "primes": _cmd_primes, "xiset": _cmd_xiset, "grandi": _cmd_grandi,
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command in _CUTOFF_COMMANDS:
+        params = None
+        if "U" in args:
             # primes has no --T: its precision plan sets only the scale U
             T = getattr(args, "T", CutoffParams.half_line_T)
             params = CutoffParams(half_line_T=T, tan_margin_eps=args.eps, indicator_scale_U=args.U)
-            return _CUTOFF_COMMANDS[args.command](args, params)
-        if args.command == "xiset":
-            return _cmd_xiset(args)
-        if args.command == "grandi":
-            return _cmd_grandi(args)
-    except (ValueError, InvalidSpec, InvalidInterval, SetExprError) as exc:
-        return _usage_fail(str(exc))
+        lines, code, summary = _COMMANDS[args.command](args, params)
+        _emit("\n".join(lines) + "\n", getattr(args, "out", None))
+    except ValueError as exc:  # SetExprError is one
+        print(f"heaviforge: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except QuadratureError as exc:
         print(f"heaviforge: quadrature failure: {exc}", file=sys.stderr)
         return MISMATCH_ERROR
-    raise AssertionError(f"unhandled command {args.command!r}")
+    if summary is not None:
+        print(summary, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

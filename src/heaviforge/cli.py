@@ -10,10 +10,12 @@
     heaviforge grandi K
 
 Each subcommand takes only the options it honours.  Exit codes: 0 on
-success, 1 on a verification mismatch, 2 on usage or parse errors (an
-unknown option, or an --out path that cannot be written).  CSV uses
-comma delimiters, LF line ends, a mandatory header row, and 17 significant
-digits for raw values so identical invocations are byte-identical.
+success, 1 on a verification mismatch (a primes row against the sieves, a
+table row whose backend_delta exceeds tol + 256 ulp * max(1, |raw|), or a
+quadrature failure), 2 on usage or parse errors (an unknown option, or an
+--out path that cannot be written).  CSV uses comma delimiters, LF line
+ends, a mandatory header row, and 17 significant digits for raw values so
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .xisets import ChainResult, format_finite_set, grandi_demo, membership_inde
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
 MAX_GRID_ROWS = 1_000_000
+ROUNDING_ALLOWANCE = 256 * 2.0**-52  # table's bound on backend_delta: tol + this * max(1, |raw|)
 # argparse's own pattern misses exponents and would read "-1e-3" as an option
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -151,11 +154,18 @@ def _cmd_table(args, params: CutoffParams) -> Result:
     xs = _grid(args.start, args.stop, args.step)
     quads = eval_quadrature(args.function, xs, params, args.tol)
     lines = ["x,raw,snapped,backend_delta"]
+    over = []  # (backend_delta, x) of each row the two backends disagree on
     for x, quad in zip(xs, quads):
         raw = fn(x, params)
-        snapped = snap(raw, args.snap_atol)
-        lines.append(f"{_fmt(x)},{_fmt(raw)},{_fmt(snapped)},{_fmt(abs(quad.value - raw))}")
-    return lines, 0, None
+        delta = abs(quad.value - raw)
+        if not delta <= args.tol + ROUNDING_ALLOWANCE * max(1.0, abs(raw)):
+            over.append((delta, x))
+        lines.append(f"{_fmt(x)},{_fmt(raw)},{_fmt(snap(raw, args.snap_atol))},{_fmt(delta)}")
+    if not over:
+        return lines, 0, None
+    delta, x = max(over, key=lambda row: row[0])
+    return lines, MISMATCH_ERROR, (f"table {args.function} tol={args.tol!r} mismatches={len(over)} of "
+                                   f"{len(xs)} max_backend_delta={_fmt(delta)} at x={_fmt(x)}")
 
 
 def _axis_range(values: list[float]) -> tuple[float, float]:

@@ -72,6 +72,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts, a limit set per interpreter
+        raise SetExprError(f"integer of {len(text)} digits is too long", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -107,7 +114,7 @@ class _Parser:
         base = self.parse_setlit()
         partner = self.parse_setlit()
         tok = self.expect("int", "a chain length")
-        length = int(tok[1])
+        length = _int(tok[1], tok[2])
         if length < 1:
             raise SetExprError("chain length must be >= 1", tok[2])
         tok = self.next()
@@ -163,7 +170,7 @@ class _Parser:
     def parse_atom(self):
         kind, value, pos = self.next()
         if kind == "int":
-            return int(value)
+            return _int(value, pos)
         if kind == "name":
             return value
         raise SetExprError("expected an atom (integer or name)", pos)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from heaviforge import cli
 from heaviforge.cutoffs import CutoffParams
+from test_golden import CASES as GOLDEN_CASES
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SRC = os.path.join(ROOT, "src")
@@ -54,11 +56,19 @@ def test_one_process_runs_commands_as_fresh_processes_do(monkeypatch):
         ["eval", "f", "-1e-3", "--T", "inf"],
         ["xiset", "{1,2}||{3} | {4}||0"],
         ["eval", "c", "-1e-3", "--eps", "0.1"],
+        ["primes", "5", "--U", "2"],  # exit 1 with a summary after the rows
+        ["table", "q", "10", "100", "10"],
     ]
     for argv in argvs:
         proc = run_cli(*argv)
         assert run_in_process(argv) == (proc.returncode, proc.stdout, proc.stderr), argv
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_one_command_table():
+    parser_commands = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+    golden_commands = {argv[0] for argv, _ in GOLDEN_CASES.values()}
+    assert set(cli._COMMANDS) == set(parser_commands) == golden_commands
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +293,25 @@ def test_failing_table_stderr_is_one_warning_and_the_failure(function):
         "stepfun.py: RuntimeWarning: invalid value encountered in multiply",
         "heaviforge: quadrature failure: integrand returned NaN or inf at a sampled point",
     ]
+
+
+@pytest.mark.parametrize("args,digest,summary", [
+    (("q", "10", "100", "10"), "908a2c16bb3bdcde62a7513419065c89ab82b2739dc07c6577c0261236696967",
+     "table q tol=1e-09 mismatches=2 of 10 max_backend_delta=0.99999999999971667 at x=100"),
+    (("u", "1e7", "1e9", "1e8"), "045ab59640a7768c326543dbc01840d58dee3b1a9e7ace58af8258145658aad5",
+     "table u tol=1e-09 mismatches=9 of 10 max_backend_delta=1 at x=110000000"),
+    (("f", "0.5", "1", "0.5", "--T", "1e20"), "8e64d9799cddd64b3fb69b76405c1dedc53c8d428f827669026632e045248bff",
+     "table f tol=1e-09 mismatches=2 of 2 max_backend_delta=0.5 at x=0.5"),
+])
+def test_table_over_the_bound_prints_its_rows_and_exits_1(args, digest, summary):
+    # on these grids the quadrature panels miss the integrand's scale, so a
+    # row's backend_delta exceeds tol + 256 ulp * max(1, |raw|); the rows
+    # print as they did before table checked them (the digests), then one
+    # summary line
+    proc = run_cli("table", *args)
+    assert proc.returncode == 1
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+    assert proc.stderr == summary + "\n"
 
 
 def test_table_rejects_svg_format():

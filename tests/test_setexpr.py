@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heaviforge.setexpr import MAX_DEPTH, SetExprError, evaluate
-from heaviforge.xisets import ChainResult, ChainStrategy, XiSet
+from heaviforge.xisets import MAX_PAIRS, ChainResult, ChainStrategy, XiSet
 
 f = frozenset
 
@@ -96,3 +98,46 @@ def test_parse_errors_carry_positions(text):
     assert isinstance(info.value.position, int)
     assert 0 <= info.value.position <= len(text)
     assert "position" in str(info.value)
+
+
+LONG = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("text,position", [
+    ("{1," + LONG + "}", 3),
+    ("chain {1} 0 " + LONG + " aligned", 12),
+])
+def test_over_long_integers_are_parse_errors(text, position):
+    with pytest.raises(SetExprError, match="integer of 5000 digits is too long") as info:
+        evaluate(text)
+    assert info.value.position == position
+
+
+# the grammar's tokens, a few whole literals, an over-long integer, and
+# characters that \\s and \\d match beyond ASCII
+TOKENS = ["{", "}", "(", ")", ",", "||", "|", "&", "\\", " ", "0", "7", "42", "a", "b_2",
+          "chain", "aligned", "shifted", "{1,2}", "{a}||0", " | ", " & ", LONG, "\u3000", "\u0663"]
+
+
+@st.composite
+def texts(draw):
+    tokens = draw(st.lists(st.sampled_from(TOKENS), max_size=40))
+    if draw(st.booleans()):  # and one stray character anywhere
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.characters()))
+    return "".join(tokens)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=texts())
+@example(text="(" * (MAX_DEPTH + 1))
+@example(text="chain {1} {2} " + LONG)
+@example(text=" | ".join(["||".join(f"{{{i}}}" for i in range(400))] * 2))
+def test_evaluate_is_total(text):
+    try:
+        result = evaluate(text)
+    except SetExprError as exc:
+        assert 0 <= exc.position <= len(text)
+    except ValueError as exc:  # SetExprError's base: only the pair cap may raise it
+        assert f"exceeds the cap of {MAX_PAIRS}" in str(exc)
+    else:
+        assert isinstance(result, (XiSet, ChainResult))

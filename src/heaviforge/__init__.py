@@ -4,76 +4,20 @@ The library evaluates step functions, zero indicators, a nascent delta, a
 piecewise-composition operator, and a divisor-count / prime-counting chain,
 each with a quadrature backend and a closed-form backend that are checked
 against one another and against exact combinatorial oracles.  A finite
-multi-valued set algebra rounds out the package.
+multi-valued set algebra rounds out the package.  The package's public names
+are its modules' ``__all__``; each is declared in exactly one of them.
 """
 
-from .cutoffs import (
-    CutoffParams,
-    DEFAULT_EVAL_BUDGET,
-    NonFiniteIntegrand,
-    QuadratureError,
-    QuadratureResult,
-    ToleranceNotReached,
-)
-from .stepfun import (
-    Backend,
-    DEFAULT_CUTOFFS,
-    StepKind,
-    eval_c,
-    eval_delta,
-    eval_f,
-    eval_q,
-    eval_rt,
-    eval_step,
-    eval_u,
-    snap,
-)
-from .piecewise import (
-    InvalidInterval,
-    InvalidSpec,
-    PiecewiseSpec,
-    compose,
-    default_cutoffs,
-    dispatch,
-    impulse,
-    partition_terms,
-    transition_width,
-)
-from .primes import (
-    OutOfPlan,
-    PrecisionPlan,
-    fes,
-    pi_analytic,
-    pi_sieve,
-    pi_sieve_counts,
-    plan_precision,
-    prime_chain,
-    sigma0_analytic,
-    sigma0_counts,
-    sigma0_oracle,
-)
-from .xisets import (
-    ChainResult,
-    ChainStrategy,
-    EMPTY_SET,
-    FiniteSet,
-    MembershipMode,
-    MembershipReport,
-    SetExprChain,
-    XiSet,
-    eval_chain,
-    format_finite_set,
-    grandi_demo,
-    membership,
-    membership_index,
-    xi_cap,
-    xi_cup,
-    xi_difference,
-    xi_intersection,
-    xi_union,
-)
-from .setexpr import SetExprError, evaluate
+from .cutoffs import *
+from .stepfun import *
+from .piecewise import *
+from .primes import *
+from .xisets import *
+from .setexpr import *
+from . import cutoffs, stepfun, piecewise, primes, xisets, setexpr
 
+__all__ = [*cutoffs.__all__, *stepfun.__all__, *piecewise.__all__,
+           *primes.__all__, *xisets.__all__, *setexpr.__all__]
 __version__ = "0.1.0"
 
 _QUADRATURE_EXPORTS = ("integrate_half_line", "integrate_interval", "integrate_tan_interval")

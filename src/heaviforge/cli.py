@@ -74,7 +74,9 @@ _FORMATS = {"table": ["csv"], "plot": ["csv", "svg"], "primes": ["csv"]}
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="heaviforge", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="heaviforge", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate one function at one point")

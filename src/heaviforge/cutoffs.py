@@ -2,8 +2,8 @@
 and error types of the quadrature backend.
 
 Nothing here needs numpy: the closed-form backend, the prime chain and the
-command line use these types without loading it.  ``quadrature`` re-exports
-every name below, so both import paths give the same objects.
+command line use these types without loading it.  ``quadrature`` imports
+these names, so both import paths give the same objects.
 """
 
 from __future__ import annotations

@@ -47,18 +47,7 @@ from .cutoffs import (
     ToleranceNotReached,
 )
 
-__all__ = [
-    "CutoffParams",
-    "QuadratureResult",
-    "QuadratureError",
-    "NonFiniteIntegrand",
-    "ToleranceNotReached",
-    "integrate_half_line",
-    "integrate_tan_interval",
-    "integrate_interval",
-    "eval_quadrature",
-    "DEFAULT_EVAL_BUDGET",
-]
+__all__ = ["integrate_half_line", "integrate_tan_interval", "integrate_interval", "eval_quadrature"]
 
 
 # Gauss-Kronrod (7, 15) nodes on [-1, 1] and both weight sets.  The 7-point

@@ -10,8 +10,12 @@ Grammar (left-associative, single precedence level, parentheses to group):
     setlit  :=  '{' [atom (',' atom)*] '}'  |  '0'
     atom    :=  INTEGER | IDENTIFIER
 
-``0`` denotes the empty set, ``||`` separates the components of a xi-set
-literal, and ``&`` ``|`` ``\\`` are intersection, union and difference.
+The grammar is ASCII: INTEGER is ``[0-9]+``, IDENTIFIER is
+``[A-Za-z_][A-Za-z_0-9]*``, and only ASCII whitespace (space, tab, newline,
+CR, FF, VT) separates tokens; any other character, a non-ASCII digit or
+space included, is a parse error.  ``0`` denotes the empty set, ``||``
+separates the components of a xi-set literal, and ``&`` ``|`` ``\\`` are
+intersection, union and difference.
 Parse errors carry the character position that caused them.
 """
 
@@ -53,7 +57,7 @@ _TOKEN = re.compile(
       | (?P<int>\d+)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

@@ -10,10 +10,12 @@ intersection/union chain under its two natural bracketings:
 
     cap_xi(A, B) -> A || (A cap B)        cup_xi(A, B) -> (A cup B) || A
 
-:func:`eval_chain` replays that mechanism at finite length: the Aligned
+:func:`eval_chain` evaluates that chain at finite length: the Aligned
 bracketing consumes the tokens as (G cap P) groups, the Shifted bracketing
 regroups them as G cap (P cup G) cap ... and leaves a final partner operand
 dangling -- the same move that reassigns Grandi's series a different sum.
+Since (G cap P) cup (G cap P) = G cap P (idempotence) and G cap (P cup G) = G
+(absorption), each bracketing's first group is its value at every length.
 The divergence between the two is demonstrated, never asserted as an
 equality of sets: an empty partner yields theta one way and G the other.
 
@@ -261,32 +263,20 @@ class ChainResult:
     dangling: frozenset | None
 
 
-def _fold(acc: frozenset, step, times: int) -> frozenset:
-    """Apply ``step`` up to ``times`` times, ending early at a fixed point."""
-    for _ in range(times):
-        nxt = step(acc)
-        if nxt == acc:
-            break
-        acc = nxt
-    return acc
-
-
 def eval_chain(chain: SetExprChain) -> ChainResult:
-    """Evaluate the chain under its bracketing strategy, by actual folding.
+    """Evaluate the chain under its bracketing strategy.
 
-    Aligned groups as (G cap P) cup (G cap P) cup ... and returns G cap P.
-    Shifted regroups as G cap (P cup G) cap (P cup G) ... with the final P
-    left dangling; since G is contained in P cup G this returns G -- in
-    particular G itself for an empty partner, where Aligned returns theta.
-    Both folds reach their fixed point after one step, so any length costs
-    O(1) steps.
+    Aligned groups as (G cap P) cup (G cap P) cup ... and Shifted regroups as
+    G cap (P cup G) cap (P cup G) ... with the final P left dangling.  Since
+    (G cap P) cup (G cap P) = G cap P (idempotence) and G cap (P cup G) = G
+    (absorption), each bracketing's first group is its value at every length:
+    Aligned returns G cap P and Shifted returns G -- in particular G itself
+    for an empty partner, where Aligned returns theta.
     """
     g, p = chain.base, chain.partner
     if chain.strategy is ChainStrategy.ALIGNED:
-        acc = _fold(g & p, lambda a: a | (g & p), chain.length - 1)
-        return ChainResult(acc, chain.strategy, chain.length, None)
-    acc = _fold(g, lambda a: a & (p | g), chain.length - 1)
-    return ChainResult(acc, chain.strategy, chain.length - 1, p)
+        return ChainResult(g & p, chain.strategy, chain.length, None)
+    return ChainResult(g, chain.strategy, chain.length - 1, p)
 
 
 def grandi_demo(k: int) -> tuple[list[int], Fraction]:

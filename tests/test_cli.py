@@ -71,6 +71,17 @@ def test_one_command_table():
     assert set(cli._COMMANDS) == set(parser_commands) == golden_commands
 
 
+def test_help_keeps_the_synopsis_lines(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = run_cli("--help")
+    assert proc.returncode == 0
+    synopsis = [line for line in cli.__doc__.splitlines() if line.lstrip().startswith("heaviforge ")]
+    assert len(synopsis) == 6
+    help_lines = proc.stdout.splitlines()
+    for line in synopsis:
+        assert line in help_lines
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -528,8 +539,18 @@ def test_xiset_parse_error_exits_2():
     assert "position" in proc.stderr
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("{\u0663}", "unexpected character '\u0663' (at position 1)"),
+    ("{1}\u3000|{2}", "unexpected character '\\u3000' (at position 3)"),
+])
+def test_non_ascii_xiset_input_exits_2(expr, message):
+    code, out, err = run_in_process(["xiset", expr])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_xiset_chain_of_any_length_returns_at_once():
-    # the fold ends at its fixed point; before, this length looped 10^11 times
+    # the value is the first group's: no step per group, so any length returns at once
     proc = run_cli("xiset", "chain", "{1}", "{2}", "100000000000", "aligned", timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[:3] == ["result 0", "strategy aligned", "groups 100000000000"]

@@ -2,6 +2,7 @@
 ``decimal`` behind it) is ``grandi``'s: importing the package and running the
 other subcommands must load neither."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,13 +13,15 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 # Runs in a fresh interpreter; prints one JSON object: for each step, whether
 # numpy and fractions were loaded after it, and the exit code of each command;
 # and checks that table's quadrature column comes from quadrature.eval_quadrature
-# and that the package re-exports quadrature's own objects.
+# and that the package and quadrature give the same objects.
 SCRIPT = r"""
 import contextlib, io, json, sys
 
 loaded = {}
 import heaviforge
 loaded["import heaviforge"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
+from heaviforge import *
+loaded["from heaviforge import *"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
 from heaviforge import cli
 loaded["import heaviforge.cli"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
 
@@ -88,6 +91,28 @@ def test_fractions_is_loaded_by_grandi_only():
     for step, (_, fractions_loaded, _) in steps[:first]:
         assert not fractions_loaded, f"fractions loaded by: {step}"
     assert steps[first][1][1] is True
+
+
+NUMPY_FREE = ("cutoffs", "stepfun", "piecewise", "primes", "xisets", "setexpr")
+
+
+def test_the_package_exports_its_modules_all():
+    import heaviforge
+
+    modules = [importlib.import_module(f"heaviforge.{name}") for name in NUMPY_FREE]
+    assert heaviforge.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(heaviforge.__all__)) == len(heaviforge.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(heaviforge, name) is getattr(module, name), name
+
+
+def test_each_public_name_is_declared_in_one_module():
+    declared = {}
+    for name in (*NUMPY_FREE, "quadrature"):
+        for public in importlib.import_module(f"heaviforge.{name}").__all__:
+            assert public not in declared, f"{public} is in {declared[public]}.__all__ and {name}.__all__"
+            declared[public] = name
 
 
 def test_unknown_package_attribute_raises_attribute_error():

@@ -113,6 +113,15 @@ def test_pi_sieve(x, count):
     assert sum(sieve_flags(200)[: int(x) + 1] if x >= 1 else []) == count
 
 
+@pytest.mark.parametrize("oracle,arg,message", [
+    (sigma0_oracle, 0, "n must be >= 1, got 0"),
+    (pi_sieve, -1.0, "x must be >= 0, got -1.0"),
+])
+def test_oracles_reject_arguments_outside_their_domain(oracle, arg, message):
+    with pytest.raises(ValueError, match=message):
+        oracle(arg)
+
+
 def test_pi_sieve_counts_primes_at_noninteger_points():
     assert pi_sieve(2.5) == 1
     assert pi_sieve(1.9999) == 0

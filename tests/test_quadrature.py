@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heaviforge.quadrature import (
+    DEFAULT_EVAL_BUDGET,
     CutoffParams,
     NonFiniteIntegrand,
     QuadratureResult,
@@ -198,6 +199,16 @@ def test_budget_exhaustion_flags_best_estimate():
     assert isinstance(best, QuadratureResult)
     assert best.abs_error_estimate > 1e-12
     assert best.evaluations <= 1_000_000
+
+
+def test_roundoff_limited_panels_stop_before_the_budget():
+    # the jump at 0.3 is bisected down to panels no wider than rounding, which
+    # are not split further: the estimate stops short of a tol no sum can meet
+    with pytest.raises(ToleranceNotReached) as info:
+        integrate_interval(lambda t: (t > 0.3).astype(float), 0.0, 1.0, 1e-300)
+    best = info.value.best
+    assert best.evaluations < DEFAULT_EVAL_BUDGET
+    assert abs(best.value - 0.7) <= 1e-12
 
 
 def test_rejects_nonpositive_tolerance():

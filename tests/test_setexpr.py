@@ -113,8 +113,18 @@ def test_over_long_integers_are_parse_errors(text, position):
     assert info.value.position == position
 
 
+@pytest.mark.parametrize("text,position", [
+    ("{\u0663}", 1),  # ARABIC-INDIC DIGIT THREE is not an INTEGER
+    ("{1}\u3000|{2}", 3),  # IDEOGRAPHIC SPACE separates no tokens
+])
+def test_the_grammar_is_ascii(text, position):
+    with pytest.raises(SetExprError, match="unexpected character") as info:
+        evaluate(text)
+    assert info.value.position == position
+
+
 # the grammar's tokens, a few whole literals, an over-long integer, and
-# characters that \\s and \\d match beyond ASCII
+# non-ASCII characters that \\s and \\d match without re.ASCII
 TOKENS = ["{", "}", "(", ")", ",", "||", "|", "&", "\\", " ", "0", "7", "42", "a", "b_2",
           "chain", "aligned", "shifted", "{1,2}", "{a}||0", " | ", " & ", LONG, "\u3000", "\u0663"]
 

@@ -51,6 +51,16 @@ def test_equality_ignores_component_order():
     assert XiSet.of({1}) != XiSet.of({2})
 
 
+def test_equality_with_other_types_is_not_implemented():
+    assert XiSet.of({1}).__eq__(1) is NotImplemented
+    assert (XiSet.of({1}) == 1) is False
+    assert XiSet.of({1}) != frozenset({1})
+
+
+def test_repr_lists_the_components():
+    assert repr(XiSet.of({1}, {2})) == "XiSet[{1} || {2}]"
+
+
 def test_empty_component_list_rejected():
     with pytest.raises(ValueError):
         XiSet(())
@@ -234,6 +244,20 @@ def test_chain_length_one():
 def test_chain_rejects_nonpositive_length():
     with pytest.raises(ValueError):
         SetExprChain(f({1}), EMPTY_SET, 0, ChainStrategy.ALIGNED)
+
+
+def test_chain_equals_its_literal_fold():
+    # every group of the chain folded in, no early exit: idempotence and
+    # absorption make the first group the value at every length
+    universe = [1, 2, 3]
+    subsets = [f(c) for r in range(4) for c in itertools.combinations(universe, r)]
+    for g, p in itertools.product(subsets, repeat=2):
+        for length in range(1, 6):
+            aligned, shifted = g & p, g
+            for _ in range(length - 1):
+                aligned, shifted = aligned | (g & p), shifted & (p | g)
+            assert eval_chain(SetExprChain(g, p, length, ChainStrategy.ALIGNED)).value == aligned
+            assert eval_chain(SetExprChain(g, p, length, ChainStrategy.SHIFTED)).value == shifted
 
 
 def test_bracketing_divergence_for_every_nonempty_base():

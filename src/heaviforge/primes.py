@@ -133,10 +133,6 @@ def sigma0_counts(n_max: int) -> list[int]:
     return counts[1:]
 
 
-def _prime_flag(sigma0: float, plan: PrecisionPlan) -> float:
-    return eval_rt(sigma0 - 2.0, plan.cutoffs)
-
-
 def fes(n: int, plan: PrecisionPlan) -> float:
     """Prime indicator rt(sigma0(n) - 2): near 1 iff n is prime.
 
@@ -144,7 +140,7 @@ def fes(n: int, plan: PrecisionPlan) -> float:
     composite, matching the two-divisor criterion.
     """
     _check_n(n, plan)
-    return _prime_flag(sigma0_analytic(n, plan), plan)
+    return eval_rt(sigma0_analytic(n, plan) - 2.0, plan.cutoffs)
 
 
 def _gated_count(flags, gates, total: float = 0.0) -> float:

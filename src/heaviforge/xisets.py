@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "FiniteSet",
     "EMPTY_SET",
     "XiSet",
     "xi_cap",
@@ -57,7 +56,6 @@ __all__ = [
     "atom_key",
 ]
 
-FiniteSet = frozenset
 EMPTY_SET: frozenset = frozenset()
 MAX_PAIRS = 100_000  # component pairs one xi-set operation may build
 MAX_GRANDI_TERMS = 1_000_000

@@ -1,10 +1,11 @@
 import inspect
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heaviforge import cli, quadrature, stepfun
@@ -102,11 +103,6 @@ def test_f_negative_side():
     assert eval_f(-5.0, T50) == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_f_antisymmetry_exact_in_closed_form():
-    for x in (0.25, 1.0, 3.75, 17.0):
-        assert eval_f(-x, T50) == -eval_f(x, T50)
-
-
 def test_c_matches_f_when_scales_agree():
     for x in (-2.0, -0.3, 0.0, 0.4, 1.0, 5.0):
         assert abs(eval_c(x, BOTH50) - eval_f(x, BOTH50)) <= 1e-12
@@ -154,11 +150,6 @@ def test_rt_strictly_decreasing_in_magnitude():
 
 # ---------------------------------------------------------------------------
 # steps
-
-def test_step_origin_values_exact():
-    assert eval_step(StepKind.H2, 0.0) == 0.5
-    assert eval_step(StepKind.H1, 0.0) == 1.0
-
 
 def test_step_far_sides():
     assert eval_step(StepKind.H1, -2.0, U50) < 1e-20
@@ -299,22 +290,12 @@ def test_snap():
 # ---------------------------------------------------------------------------
 # batched quadrature: one seed wave per chunk of rows
 
-def _reference_delta_integrand(x: float):
-    # at a Python float x, so that x ** 3 is Python's pow, not numpy's power
-    def g(t):
-        z = t * x
-        return ((1.0 + z) * quadrature._density_np(z) - 2.0 * x * np.exp(-t * x * x)
-                + 2.0 * t * x ** 3 * np.exp(-t * x * x) - 2.0 * z * quadrature._cubed_density_np(z))
-    return g
-
-
 def _reference_row(name, x, params, tol):
     """One row as it ran before rows were batched: an ``integrate_*`` call
     that evaluates its own seed wave, at a float x."""
     on_half_line, integrand_of, finish = quadrature._QUADRATURE[name]
     integrate = quadrature.integrate_half_line if on_half_line else quadrature.integrate_tan_interval
-    f = _reference_delta_integrand(x) if name == "delta" else integrand_of(x)
-    r = integrate(f, params, tol)
+    r = integrate(integrand_of(x), params, tol)
     return (r.value if finish is None else finish(r.value)), r.abs_error_estimate, r.evaluations
 
 
@@ -329,8 +310,7 @@ def _as_tuples(results):
     (CutoffParams(half_line_T=200.0, indicator_scale_U=512.0), 1e-12, (-8.0, 8.0, 0.25), True),
 ])
 def test_batched_column_equals_one_row_calls(name, params, tol, grid, refines):
-    # every grid spans several chunks; on the last, rows of every function
-    # refine; on the first, numpy's x ** 3 differs from Python's in 7 rows
+    # every grid spans several chunks; on the last, rows of every function refine
     xs = cli._grid(*grid)
     batched = _as_tuples(eval_quadrature(name, xs, params, tol))
     one_row = _as_tuples(eval_quadrature(name, [x], params, tol)[0] for x in xs)
@@ -357,7 +337,7 @@ def test_batched_column_raises_for_the_first_failing_row():
 @pytest.mark.parametrize("name,xs", [
     ("u", [0.5, 1e150, -1e200, 1e200]),
     ("H1", [0.0, 1e300, -1e300]),
-    ("delta", [1.0, 1e100, 1e102]),
+    ("delta", [1.0, 1e120, 1e200]),
     ("f", [-1e300, 0.0, 1e300]),
 ])
 def test_batched_column_warns_as_its_rows_one_by_one(name, xs):
@@ -385,9 +365,29 @@ def test_batched_column_warns_as_its_rows_one_by_one(name, xs):
 
 
 def test_delta_quadrature_at_huge_x_fails_cleanly():
-    # x ** 3 overflowed as a Python float and escaped as an OverflowError
+    # t * x * x overflows, and 0 * (-inf) is NaN
     with pytest.raises(quadrature.NonFiniteIntegrand):
         eval_delta(1e300, CutoffParams(), QUAD)
+
+
+def test_delta_quadrature_holds_until_t_x_squared_overflows():
+    # finite until t * x * x overflows at the largest sampled t, just under
+    # T: from |x| ~ 1.34e153 on at the default T = 100
+    for x in (1e120, -1e120, 1.3e153):
+        (result,) = eval_quadrature("delta", [x], CutoffParams(), 1e-9)
+        assert abs(result.value - eval_delta(x)) <= 1e-9
+
+
+def test_delta_integrand_matches_the_four_term_form():
+    # f' - u' term by term, unsplit and with plain exponentials, on |t x| <= 50
+    rng = np.random.default_rng(14)
+    x = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-3.0, 3.0, 20_000)
+    t = np.abs(rng.uniform(-50.0, 50.0, 20_000) / x)
+    z, e = t * x, np.exp(t * x)
+    terms = ((1.0 + z) * e / (1.0 + e) ** 2, -2.0 * x * np.exp(-t * x * x),
+             2.0 * t * x**3 * np.exp(-t * x * x), -2.0 * z * e * e / (1.0 + e) ** 3)
+    error = np.abs(quadrature._delta_integrand(x)(t) - sum(terms))
+    assert (error <= 8 * 2.0**-52 * sum(np.abs(term) for term in terms)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +431,18 @@ def test_tighter_tol_is_never_worse_beyond_rounding(T, U):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
-    x=st.floats(-1e3, 1e3),
-    T=st.floats(1e-3, 1e4),
-    U=st.floats(1.0, 1e6, exclude_min=True),
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    T=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    U=st.floats(1.0, exclude_min=True, allow_infinity=False),
 )
+@example(x=0.25, T=100.0, U=128.0)  # the default cutoffs
+@example(x=17.0, T=50.0, U=50.0)
+@example(x=1.0, T=sys.float_info.max, U=sys.float_info.max)
+@example(x=-sys.float_info.max, T=sys.float_info.max, U=sys.float_info.max)
 def test_exact_promises_of_the_closed_forms(x, T, U):
     params = CutoffParams(half_line_T=T, indicator_scale_U=U)
+    for name, evaluate in stepfun.FAMILY.items():
+        assert math.isfinite(evaluate(x, params)), name  # README: stays finite
     assert eval_f(-x, params) == -eval_f(x, params)
     assert eval_c(-x, params) == -eval_c(x, params)
     h1, h2 = eval_step(StepKind.H1, x, params), eval_step(StepKind.H2, x, params)

@@ -21,7 +21,6 @@ identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import re
@@ -29,9 +28,9 @@ import sys
 from typing import Sequence
 
 from .cutoffs import CutoffParams, QuadratureError
-from .primes import pi_sieve_counts, plan_precision, prime_chain, sigma0_counts
+from .primes import PrecisionPlan, pi_sieve_counts, plan_precision, prime_chain, sigma0_counts
 from .setexpr import evaluate
-from .stepfun import FAMILY as _FUNCTIONS, snap  # CLI name -> evaluator fn(x, params)
+from .stepfun import DEFAULT_CUTOFFS, FAMILY as _FUNCTIONS, snap  # CLI name -> evaluator fn(x, params)
 from .xisets import ChainResult, format_finite_set, grandi_demo, membership_index
 
 USAGE_ERROR = 2
@@ -235,7 +234,7 @@ def _cmd_primes(args, params: CutoffParams) -> Result:
     plan = plan_precision(n_max)
     if args.U is not None or args.eps is not None:
         # explicit scale override, e.g. to explore how an inadequate plan fails
-        plan = dataclasses.replace(plan, indicator_scale_U=params.indicator_scale_U)
+        plan = PrecisionPlan(plan.n_max, params.indicator_scale_U, plan.round_margin)
     margin = plan.round_margin
 
     lines = ["n,sigma0_analytic,sigma0_exact,fes_snapped,pi_analytic,pi_sieve,match"]
@@ -292,7 +291,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         params = None
         if "U" in args:
             # primes has no --T: its precision plan sets only the scale U
-            T = getattr(args, "T", CutoffParams.half_line_T)
+            T = getattr(args, "T", DEFAULT_CUTOFFS.half_line_T)
             params = CutoffParams(half_line_T=T, tan_margin_eps=args.eps, indicator_scale_U=args.U)
         lines, code, summary = _COMMANDS[args.command](args, params)
         _emit("\n".join(lines) + "\n", getattr(args, "out", None))

@@ -4,12 +4,15 @@ and error types of the quadrature backend.
 Nothing here needs numpy: the closed-form backend, the prime chain and the
 command line use these types without loading it.  ``quadrature`` imports
 these names, so both import paths give the same objects.
+
+The package's value records (here and in ``piecewise``, ``primes`` and
+``xisets``) share the small frozen base :class:`_Record`, which costs no
+import; ``dataclasses`` would load ``inspect`` and friends on every start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "CutoffParams",
@@ -21,6 +24,43 @@ __all__ = [
 ]
 
 DEFAULT_EVAL_BUDGET = 1_000_000
+
+
+class _Record:
+    """A frozen value record.
+
+    A subclass's ``__init__`` validates its fields and stores them with
+    ``object.__setattr__``; assigning or deleting an attribute afterwards
+    raises ``AttributeError``.  Equality holds only between instances of the
+    same class whose ``_compare`` fields are equal, the hash is that of the
+    ``_compare`` values, and the repr is ``Name(field=value, ...)`` over
+    ``_repr``.  Copies and pickles rebuild the instance ``__dict__``
+    without calling ``__init__``.
+    """
+
+    _compare: tuple[str, ...]  # each subclass names its fields here
+    _repr: tuple[str, ...]
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compare))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._repr)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class QuadratureError(Exception):
@@ -45,8 +85,7 @@ class ToleranceNotReached(QuadratureError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class CutoffParams:
+class CutoffParams(_Record):
     """Cutoffs that turn the exact limiting integrals into computable ones.
 
     half_line_T      upper limit standing in for infinity on [0, T]
@@ -61,17 +100,17 @@ class CutoffParams:
     the defaults T=100, U=128.
     """
 
-    half_line_T: float = 100.0
-    tan_margin_eps: float | None = None
-    indicator_scale_U: float | None = None
+    _compare = _repr = ("half_line_T", "tan_margin_eps", "indicator_scale_U")
 
-    def __post_init__(self):
-        T = float(self.half_line_T)
+    def __init__(
+        self, half_line_T: float = 100.0, tan_margin_eps: float | None = None, indicator_scale_U: float | None = None
+    ):
+        T = float(half_line_T)
         if not (math.isfinite(T) and T > 0.0):
-            raise ValueError(f"half_line_T must be a positive real, got {self.half_line_T!r}")
+            raise ValueError(f"half_line_T must be a positive real, got {half_line_T!r}")
         object.__setattr__(self, "half_line_T", T)
 
-        eps, U = self.tan_margin_eps, self.indicator_scale_U
+        eps, U = tan_margin_eps, indicator_scale_U
         if eps is not None and U is not None:
             raise ValueError("tan_margin_eps and indicator_scale_U are one cutoff; give only one")
         if eps is None:
@@ -94,8 +133,12 @@ class CutoffParams:
         return math.pi / 2.0 - self.tan_margin_eps
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
+class QuadratureResult(_Record):
+    """One integral's value, its error estimate and its integrand evaluations."""
+
+    _compare = _repr = ("value", "abs_error_estimate", "evaluations")
+
+    def __init__(self, value: float, abs_error_estimate: float, evaluations: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "abs_error_estimate", abs_error_estimate)
+        object.__setattr__(self, "evaluations", evaluations)

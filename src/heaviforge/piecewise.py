@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
-from .cutoffs import CutoffParams
+from .cutoffs import CutoffParams, _Record
 from .stepfun import _h1
 
 __all__ = [
@@ -47,16 +46,14 @@ class InvalidSpec(ValueError):
     """Breakpoints not strictly increasing, or branch count mismatch."""
 
 
-@dataclass(frozen=True)
-class PiecewiseSpec:
+class PiecewiseSpec(_Record):
     """Breakpoints x1 < ... < xn plus the n+1 branch functions."""
 
-    breakpoints: tuple[float, ...]
-    branches: tuple[Callable[[float], float], ...] = field(repr=False)
+    _compare, _repr = ("breakpoints", "branches"), ("breakpoints",)
 
-    def __post_init__(self):
-        bps = tuple(float(b) for b in self.breakpoints)
-        brs = tuple(self.branches)
+    def __init__(self, breakpoints: Iterable[float], branches: Iterable[Callable[[float], float]]):
+        bps = tuple(float(b) for b in breakpoints)
+        brs = tuple(branches)
         if len(bps) < 1:
             raise InvalidSpec("need at least one breakpoint")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):

@@ -22,12 +22,10 @@ that margin.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, field
 
-from .cutoffs import CutoffParams
+from .cutoffs import CutoffParams, _Record
 from .stepfun import StepKind, _h1, eval_rt, eval_step
 
 __all__ = [
@@ -49,8 +47,7 @@ class OutOfPlan(ValueError):
     """Argument outside the range the precision plan was built for."""
 
 
-@dataclass(frozen=True)
-class PrecisionPlan:
+class PrecisionPlan(_Record):
     """Indicator scale valid for all n up to ``n_max``.
 
     Invariant: e^{-U sin^2(pi/n_max)} < round_margin / n_max, so the summed
@@ -58,17 +55,17 @@ class PrecisionPlan:
     ``cutoffs`` is built once from U and takes no part in equality or hashing.
     """
 
-    n_max: int
-    indicator_scale_U: float
-    round_margin: float
-    cutoffs: CutoffParams = field(init=False, compare=False, repr=False)
+    _compare = _repr = ("n_max", "indicator_scale_U", "round_margin")
 
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max!r}")
-        if not (0.0 < self.round_margin < 0.5):
-            raise ValueError(f"round_margin must lie in (0, 0.5), got {self.round_margin!r}")
-        object.__setattr__(self, "cutoffs", CutoffParams(indicator_scale_U=self.indicator_scale_U))
+    def __init__(self, n_max: int, indicator_scale_U: float, round_margin: float):
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+        if not (0.0 < round_margin < 0.5):
+            raise ValueError(f"round_margin must lie in (0, 0.5), got {round_margin!r}")
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "indicator_scale_U", indicator_scale_U)
+        object.__setattr__(self, "round_margin", round_margin)
+        object.__setattr__(self, "cutoffs", CutoffParams(indicator_scale_U=indicator_scale_U))
 
 
 def plan_precision(n_max: int, round_margin: float = 0.25) -> PrecisionPlan:
@@ -87,7 +84,7 @@ def plan_precision(n_max: int, round_margin: float = 0.25) -> PrecisionPlan:
         bound = round_margin / n_max
         while math.exp(-U * s) >= bound:
             U *= 2.0
-    return dataclasses.replace(plan, indicator_scale_U=U)
+    return PrecisionPlan(plan.n_max, U, plan.round_margin)
 
 
 def _check_n(n: int, plan: PrecisionPlan) -> None:

@@ -29,8 +29,9 @@ All values are immutable; everything here is pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable
+
+from .cutoffs import _Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -84,14 +85,11 @@ def _union_atoms(components: tuple[frozenset, ...]) -> list:
     return sorted(frozenset().union(*components), key=atom_key)
 
 
-@dataclass(frozen=True, eq=False)
-class XiSet:
+class XiSet(_Record):
     """An ordered, deduplicated tuple of component sets."""
 
-    components: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        normalized = tuple(dict.fromkeys(frozenset(c) for c in self.components))
+    def __init__(self, components: Iterable[Iterable[Hashable]]):
+        normalized = tuple(dict.fromkeys(frozenset(c) for c in components))
         if not normalized:
             raise ValueError("a xi-set needs at least one component")
         object.__setattr__(self, "components", normalized)
@@ -178,13 +176,15 @@ class MembershipMode(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(_Record):
     """Which components (1-based indices) contain the atom."""
 
-    atom: Hashable
-    index_set: frozenset
-    mode: MembershipMode
+    _compare = _repr = ("atom", "index_set", "mode")
+
+    def __init__(self, atom: Hashable, index_set: frozenset, mode: MembershipMode):
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "index_set", index_set)
+        object.__setattr__(self, "mode", mode)
 
 
 def _mode(count: int, xi_class: int) -> MembershipMode:
@@ -227,38 +227,38 @@ class ChainStrategy(enum.Enum):
     SHIFTED = "shifted"
 
 
-@dataclass(frozen=True)
-class SetExprChain:
+class SetExprChain(_Record):
     """A finite alternating chain  G cap P cup G cap P cup ... cap P.
 
     ``length`` counts the (G cap P) operand pairs, i.e. the number of cap
     tokens; unions alternate between them.
     """
 
-    base: frozenset
-    partner: frozenset
-    length: int
-    strategy: ChainStrategy
+    _compare = _repr = ("base", "partner", "length", "strategy")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", frozenset(self.base))
-        object.__setattr__(self, "partner", frozenset(self.partner))
-        if self.length < 1:
-            raise ValueError(f"chain length must be >= 1, got {self.length!r}")
+    def __init__(self, base: Iterable[Hashable], partner: Iterable[Hashable], length: int, strategy: ChainStrategy):
+        object.__setattr__(self, "base", frozenset(base))
+        object.__setattr__(self, "partner", frozenset(partner))
+        if length < 1:
+            raise ValueError(f"chain length must be >= 1, got {length!r}")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "strategy", strategy)
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(_Record):
     """Chain value plus the bookkeeping that makes the regrouping auditable.
 
     ``dangling`` is the trailing partner operand the Shifted bracketing
     leaves unconsumed (None for Aligned, which consumes every token).
     """
 
-    value: frozenset
-    strategy: ChainStrategy
-    groups: int
-    dangling: frozenset | None
+    _compare = _repr = ("value", "strategy", "groups", "dangling")
+
+    def __init__(self, value: frozenset, strategy: ChainStrategy, groups: int, dangling: frozenset | None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "dangling", dangling)
 
 
 def eval_chain(chain: SetExprChain) -> ChainResult:

@@ -1,6 +1,7 @@
 """numpy is the quadrature backend's dependency only, and ``fractions`` (with
 ``decimal`` behind it) is ``grandi``'s: importing the package and running the
-other subcommands must load neither."""
+other subcommands must load neither.  Nothing outside the quadrature backend
+loads ``dataclasses`` or ``inspect``, which cost every start."""
 
 import importlib
 import json
@@ -11,24 +12,32 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 # Runs in a fresh interpreter; prints one JSON object: for each step, whether
-# numpy and fractions were loaded after it, and the exit code of each command;
-# and checks that table's quadrature column comes from quadrature.eval_quadrature
+# numpy and fractions were loaded after it, the exit code of each command, and
+# which of dataclasses and inspect are new since the interpreter started (the
+# start-up itself may load either, depending on the Python version); and
+# checks that table's quadrature column comes from quadrature.eval_quadrature
 # and that the package and quadrature give the same objects.
 SCRIPT = r"""
 import contextlib, io, json, sys
 
+preloaded = set(sys.modules)
 loaded = {}
+
+def record(step, code=0):
+    new = sorted({"dataclasses", "inspect"} & (set(sys.modules) - preloaded))
+    loaded[step] = ("numpy" in sys.modules, "fractions" in sys.modules, code, new)
+
 import heaviforge
-loaded["import heaviforge"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
+record("import heaviforge")
 from heaviforge import *
-loaded["from heaviforge import *"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
+record("from heaviforge import *")
 from heaviforge import cli
-loaded["import heaviforge.cli"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
+record("import heaviforge.cli")
 
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    loaded[" ".join(argv)] = ("numpy" in sys.modules, "fractions" in sys.modules, code)
+    record(" ".join(argv), code)
 
 for argv in (
     ["eval", "H1", "0"],
@@ -43,7 +52,7 @@ for argv in (
 
 from heaviforge.stepfun import Backend, StepKind, eval_step
 eval_step(StepKind.H1, 0.3, backend=Backend.QUADRATURE)
-loaded["eval_step H1 quadrature"] = ("numpy" in sys.modules, "fractions" in sys.modules, 0)
+record("eval_step H1 quadrature")
 
 # table looks eval_quadrature up in quadrature when it runs: count its calls
 import heaviforge.quadrature
@@ -76,7 +85,7 @@ def test_numpy_is_loaded_by_the_quadrature_backend_only():
     report = run_script()
     steps = list(report["loaded"].items())
     assert [step for step, _ in steps[-2:]] == ["eval_step H1 quadrature", "table H1 -1 1 0.5"]
-    for step, (numpy_loaded, _, code) in steps[:-2]:
+    for step, (numpy_loaded, _, code, _) in steps[:-2]:
         assert code == 0, step
         assert not numpy_loaded, f"numpy loaded by: {step}"
     assert steps[-2][1][0] is True
@@ -88,9 +97,17 @@ def test_fractions_is_loaded_by_grandi_only():
     steps = list(run_script()["loaded"].items())
     names = [step for step, _ in steps]
     first = names.index("grandi 7")
-    for step, (_, fractions_loaded, _) in steps[:first]:
+    for step, (_, fractions_loaded, _, _) in steps[:first]:
         assert not fractions_loaded, f"fractions loaded by: {step}"
     assert steps[first][1][1] is True
+
+
+def test_dataclasses_and_inspect_are_not_loaded_outside_quadrature():
+    steps = list(run_script()["loaded"].items())
+    assert [step for step, _ in steps[:3]] == ["import heaviforge", "from heaviforge import *", "import heaviforge.cli"]
+    # the last two steps run quadrature, and numpy loads inspect
+    for step, (_, _, _, new) in steps[:-2]:
+        assert new == [], f"{new} loaded by: {step}"
 
 
 NUMPY_FREE = ("cutoffs", "stepfun", "piecewise", "primes", "xisets", "setexpr")

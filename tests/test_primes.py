@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import math
@@ -83,7 +82,7 @@ def test_plan_examples():
 def test_plan_carries_its_cutoffs():
     plan = plan_precision(50)
     assert plan.cutoffs.indicator_scale_U == plan.indicator_scale_U
-    override = dataclasses.replace(plan, indicator_scale_U=2.0)
+    override = PrecisionPlan(plan.n_max, 2.0, plan.round_margin)
     assert override.cutoffs.indicator_scale_U == 2.0
 
 
@@ -192,7 +191,7 @@ def test_pi_analytic_tracks_sieve_across_half_integers():
 
 CHAIN_PLANS = [plan_precision(m) for m in (1, 2, 3, 60, 200)] + [
     # the CLI's --U override: the band of H1 gates below exactly 1.0 is widest
-    dataclasses.replace(PLAN200, indicator_scale_U=U) for U in (2.0, 4.0)
+    PrecisionPlan(PLAN200.n_max, U, PLAN200.round_margin) for U in (2.0, 4.0)
 ]
 
 
@@ -245,7 +244,7 @@ CHAIN_DIGESTS = {
 def test_prime_chain_bits_are_pinned_at_large_n(n_max, U):
     plan = plan_precision(n_max)
     if U is not None:
-        plan = dataclasses.replace(plan, indicator_scale_U=U)
+        plan = PrecisionPlan(plan.n_max, U, plan.round_margin)
     assert chain_digest(plan) == CHAIN_DIGESTS[n_max, U]
 
 

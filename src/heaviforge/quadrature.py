@@ -264,8 +264,8 @@ def integrate_interval(
     integrals and the like); the cutoff-specific entry points above are the
     primary interface.
     """
-    if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
-        raise ValueError(f"need finite lower < upper, got [{lower!r}, {upper!r}]")
+    if not (lower < upper and math.isfinite(upper - lower)):  # a finite span: finite bounds too
+        raise ValueError(f"need finite lower < upper with a finite span, got [{lower!r}, {upper!r}]")
     return _adaptive(integrand, np.linspace(lower, upper, 17), tol)
 
 

@@ -25,8 +25,9 @@ truncation error of the closed forms against the exact discrete limits decays
 like e^{-T|x|} / e^{-U x^2}, so cutoffs in the tens already reproduce the
 discrete tables to machine-irrelevant error away from the transition region.
 
-Values are reported honestly (never silently rounded); :func:`snap` is the
-opt-in wrapper that maps a value to the nearest exact discrete level.
+Values are never silently rounded.  Against a 400-digit oracle f, c, u, q
+are within 2 ulp; rt 1 ulp * max(1, 2Ux^2); delta 2.5 ulp of its larger term
+* max(1, |Tx|, 2Tx^2); H1, H2 1 ulp(1.0), absolute: 0.0 in the left tail.
 
 All functions are pure and safe to call concurrently.
 """
@@ -74,22 +75,17 @@ def snap(value: float, atol: float = 1e-9) -> float:
     Covers the discrete levels the family produces (0, +-1/2, 1, integer
     counts).  Snapping is opt-in; no evaluator calls this implicitly.
     """
-    if not math.isfinite(value):
+    if not abs(value) < 2.0**52:  # inf, NaN, or a float already a multiple of 1/2
         return value
     nearest = round(value * 2.0) / 2.0
     return nearest if abs(value - nearest) <= atol else value
 
 
-# -- scalar closed-form helpers, branch-symmetric so antisymmetry and the
-#    exact origin values hold bit-for-bit -----------------------------------
+# -- closed-form helpers: tanh is odd and 0 at 0, so oddness and origin values are exact --
 
 def _ramp(z: float) -> float:
-    """1/2 - 1/(1 + e^z); odd in z, exactly 0.0 at z = 0."""
-    if z < 0.0:
-        a = math.exp(z)  # the z > 0 branch at -z, negated
-        return -(0.5 - a / (1.0 + a))
-    a = math.exp(-z)
-    return 0.5 - a / (1.0 + a)
+    """1/2 - 1/(1 + e^z) = tanh(z/2)/2: no cancellation near 0, +-1/2 at +-inf."""
+    return 0.5 * math.tanh(0.5 * z)
 
 
 def _h1(x: float, U: float) -> float:

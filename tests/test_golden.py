@@ -4,7 +4,11 @@ The files under ``golden/`` hold the stdout of each invocation below.  Every
 command's stdout must match byte for byte, except ``table``: there the x, raw
 and snapped columns must match exactly, while ``backend_delta`` (the
 quadrature backend's distance from the closed form) need only stay within
-``tol``, because a change of quadrature rule may move its last digits.
+``tol``.  Its last digits vary by CPU: ``quadrature._gk_sums`` forms each
+panel's Gauss-Kronrod sums as ``vals @ weights``, an OpenBLAS ``dgemv``
+whose kernel numpy picks for the machine it runs on (ROADMAP.md, "`table`
+prints the same bytes on every BLAS build").  The closed forms of f, c, H1
+and H2 call libm's ``tanh``, so their goldens also hold that libm's bits.
 
 A change that alters any of these bytes must say so in CHANGES.md; rewrite
 the files with ``PYTHONPATH=src python tests/test_golden.py``, or only the

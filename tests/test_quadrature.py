@@ -249,3 +249,10 @@ def test_interval_helper():
     assert res.value == pytest.approx(2.0 * math.sin(1.0), abs=1e-10)
     with pytest.raises(ValueError):
         integrate_interval(lambda x: x, 1.0, 1.0)
+
+
+def test_interval_helper_needs_a_finite_span():
+    # both bounds are finite, but upper - lower overflows to inf
+    with pytest.raises(ValueError, match="finite span"):
+        integrate_interval(lambda t: np.zeros_like(t), -1e308, 1e308)
+    assert integrate_interval(lambda t: np.zeros_like(t), -8e307, 8e307).value == 0.0

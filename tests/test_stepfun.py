@@ -287,6 +287,14 @@ def test_snap():
     assert snap(7e-10, 0.0) == 7e-10
 
 
+@pytest.mark.parametrize("value", [sys.float_info.max, -sys.float_info.max, 2.0**52, -(2.0**53 + 2.0)])
+def test_snap_leaves_large_floats_alone(value):
+    # from 2^52 on every float is an integer, so already a multiple of 1/2;
+    # value * 2 would overflow near the largest float
+    assert snap(value) == value
+    assert snap(value, 0.0) == value
+
+
 # ---------------------------------------------------------------------------
 # batched quadrature: one seed wave per chunk of rows
 

@@ -17,13 +17,17 @@ are evaluated on whole waves at once and must therefore accept a 1-D numpy
 array and return an array of the same shape (``numpy.vectorize`` adapts any
 scalar function).
 
-A caller that integrates one integrand per x over many x can compute the
-seed wave of a whole chunk of rows in one integrand call
-(``_seed_waves``) and hand each row's to its ``integrate_*`` call as
-``seed_wave``; the row then refines alone, and its result is the one it
-would get without the hand-over, bit for bit: every integrand is one
-elementwise numpy expression, so a column of x and a single x run the same
-IEEE operations.  The delta integrand f' - u' (x-derivatives of the f and u
+``eval_quadrature`` integrates one integrand per x over many x, a block of
+rows at a time (``_block_states``).  One integrand call evaluates the seed
+wave of a chunk of rows, and the rows still over ``tol`` then refine
+together, wave by wave, one integrand call per slice of their split
+panels.  Each row's ``integrate_*`` call is then handed, as ``seed_wave``,
+its result or the panels where the block dropped it, and it returns what it
+would have returned alone, bit for bit.  This holds because every integrand
+is one elementwise numpy expression, so a column of x and a single x run
+the same IEEE operations; because each panel's GK15 sums are its own
+(``_gk_sums``); and because each row's totals are its own ``sum()``
+(``_row_sums``).  The delta integrand f' - u' (x-derivatives of the f and u
 integrands) is, with z = t x and rho(z) = e^z/(1+e^z)^2 (``_density_np``),
 
     rho(z) (1 - z tanh(z/2)) - 2x e^{-t x^2} (1 - t x^2),
@@ -34,9 +38,9 @@ sqrt(1.8e308 / T) on, 1.34e153 at the default T = 100.
 
 This module is the whole quadrature backend of the step-function family:
 besides the engine it holds each function's integrand (``_QUADRATURE``) and
-``eval_quadrature``, which integrates one function over a column of x, one
-``integrate_*`` call per row.  ``stepfun`` holds the closed forms and calls
-``eval_quadrature`` for its quadrature backend.
+``eval_quadrature``, which integrates one function over a column of x, with
+one ``integrate_*`` call per row.  ``stepfun`` holds the closed forms and
+calls ``eval_quadrature`` for its quadrature backend.
 """
 
 from __future__ import annotations
@@ -84,10 +88,18 @@ _GAUSS_WEIGHTS[1::2] = [
 ]
 
 _SPLIT_FACTOR = 16.0  # split every panel within this factor of the worst one
-# Integrand points per chunk of rows in _seed_waves (16 rows of the 46
-# half-line seed panels): bounds the (rows x points) temporaries.  Twice
-# this was no faster on a table and raised its peak memory; half was slower.
+# Integrand points per call: a chunk of rows of a seed wave (16 rows of the
+# 46 half-line seed panels) or a slice of a refinement wave's panels.  It
+# bounds the (rows x points) temporaries.  Twice this was no faster on a
+# table and raised its peak memory; half was slower.
 _CHUNK_POINTS = 11_520
+_SLICE_PANELS = _CHUNK_POINTS // _GK_NODES.size
+# Rows that eval_quadrature refines together, a whole number of seed chunks
+# on both intervals (16 rows of 46 panels, 15 of 51).  120 rows per block
+# was slower on the benchmark's tables, which have 35 to 170 rows; 480 and
+# 960 were no faster on 10,001 rows and raised the peak memory of 3,000
+# rows of H1 from 2.0 MB to 3.3 and 5.9 MB.
+_BLOCK_ROWS = 240
 
 
 def _gk_points(left, right):
@@ -99,9 +111,15 @@ def _gk_points(left, right):
 
 
 def _gk_sums(vals, half):
-    """(k15, est) per panel from values of shape (..., panels, 15)."""
-    k15 = (vals @ _GK_WEIGHTS) * half
-    g7 = (vals @ _GAUSS_WEIGHTS) * half
+    """(k15, est) per panel from values of shape (..., panels, 15).
+
+    Each sum runs over its own panel's 15 products, in numpy's fixed order,
+    so a panel's sums do not depend on the panels stacked beside it.  A BLAS
+    ``vals @ weights`` would: OpenBLAS picks its kernel for the CPU, and the
+    kernel's blocking depends on the panel's place in the matrix.
+    """
+    k15 = (vals * _GK_WEIGHTS).sum(axis=-1) * half
+    g7 = (vals * _GAUSS_WEIGHTS).sum(axis=-1) * half
     return k15, np.abs(k15 - g7)
 
 
@@ -116,52 +134,30 @@ def _panel_rule(f, left, right):
     return k15, est, pts.size
 
 
-def _seed_waves(integrand_of, xs: Sequence[float], edges):
-    """Yield the seed wave (k15, est) over the panels ``edges`` of
-    ``integrand_of(x)`` for each x in ``xs``, one integrand call per chunk
-    of rows.
-
-    ``integrand_of`` takes a column of x, shape (rows, 1), and returns an
-    integrand whose values have shape (rows, len(t)).  A row gets None, and
-    evaluates its own seed wave, when its values are not all finite or when
-    the chunk's call would have reported a floating-point error under
-    numpy's error state: the one-row evaluation then fails and warns as it
-    would have, in row order.
-    """
-    pts, half = _gk_points(edges[:-1], edges[1:])
-    chunk = max(1, _CHUNK_POINTS // pts.size)
-    report = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
-    for lo in range(0, len(xs), chunk):
-        column = np.array(xs[lo:lo + chunk], dtype=float).reshape(-1, 1)
-        try:
-            with np.errstate(**report):
-                vals = integrand_of(column)(pts.ravel()).reshape(len(column), *pts.shape)
-                k15, est = _gk_sums(vals, half)
-        except FloatingPointError:
-            yield from [None] * len(column)
-            continue
-        finite = np.isfinite(vals).all(axis=(1, 2))
-        for r in range(len(column)):
-            yield (k15[r], est[r]) if finite[r] else None
-
-
 def _sorted_panels(left, right, k15, est):
     order = np.argsort(left, kind="stable")
     return left[order], right[order], k15[order], est[order]
 
 
-def _adaptive(f, edges, tol, seed_wave=None):
+def _check_tol(tol):
     if tol <= 0.0 or not math.isfinite(tol):
         raise ValueError(f"tol must be a positive real, got {tol!r}")
+
+
+def _adaptive(f, edges, tol, state=None):
+    _check_tol(tol)
+    if isinstance(state, QuadratureResult):
+        return state  # finished by eval_quadrature's block
     edges = np.asarray(edges, dtype=float)
-    left, right = edges[:-1], edges[1:]
-    if seed_wave is None:
+    if state is None:
+        left, right = edges[:-1], edges[1:]
         k15, est, evals = _panel_rule(f, left, right)
     else:
-        k15, est = seed_wave
-        if k15.shape != left.shape or est.shape != left.shape:
-            raise ValueError(f"seed_wave must hold (k15, est) for each of the {left.size} seed panels")
-        evals = left.size * _GK_NODES.size
+        left, right, k15, est, evals = state
+        if not (left.shape == right.shape == k15.shape == est.shape and left.size
+                and left[0] == edges[0] and right[-1] == edges[-1]):
+            raise ValueError(f"seed_wave must be a result, or the panels of [{edges[0]!r}, {edges[-1]!r}] "
+                             "as (left, right, k15, est, evaluations)")
 
     while True:
         total_est = float(est.sum())
@@ -191,6 +187,156 @@ def _adaptive(f, edges, tol, seed_wave=None):
         left, right, k15, est = _sorted_panels(left, right, k15, est)
 
 
+# -- rows refined together (eval_quadrature) ---------------------------------
+
+def _row_sums(values, starts, counts):
+    """Each row's ``values.sum()`` and ``values.max()``, where row i holds
+    the panels ``values[starts[i]:starts[i] + counts[i]]``.  ``sum(axis=1)``
+    over the rows of one panel count runs each row's own pairwise summation,
+    bit for bit; padding rows with zeros to one length would not."""
+    total, peak = np.empty(len(counts)), np.empty(len(counts))
+    for count in set(counts.tolist()):
+        rows = np.flatnonzero(counts == count)
+        panels = values[starts[rows, None] + np.arange(count)]
+        total[rows], peak[rows] = panels.sum(axis=1), panels.max(axis=1)
+    return total, peak
+
+
+def _wave(integrand_of, x, left, right, report):
+    """GK15 on each panel [left[i], right[i]] of the integrand at x[i], one
+    integrand call per slice of ``_SLICE_PANELS`` panels: (k15, est, ok).
+    ``ok`` is False on every panel of a slice whose call would have reported
+    a floating-point error under ``report``, and on a panel whose estimate
+    is not finite, as it is wherever a value is not (the Gauss weights of
+    0 make even an infinite value's estimate NaN)."""
+    k15, est, ok = np.empty(len(left)), np.empty(len(left)), np.zeros(len(left), bool)
+    for lo in range(0, len(left), _SLICE_PANELS):
+        part = slice(lo, lo + _SLICE_PANELS)
+        try:
+            with np.errstate(**report):
+                pts, half = _gk_points(left[part], right[part])
+                vals = integrand_of(x[part, None])(pts)
+                k15[part], est[part] = _gk_sums(vals, half)
+        except FloatingPointError:
+            continue
+        ok[part] = np.isfinite(est[part])
+    return k15, est, ok
+
+
+def _seed_wave(integrand_of, xs: Sequence[float], left, right, tol, report, states):
+    """The seed wave of the rows ``xs`` on the panels [left, right], one
+    integrand call per chunk of rows.  Each row within ``tol`` gets its
+    result in ``states``; the rows still over it are returned with their
+    (k15, est), one row's panels after another."""
+    rows, k15s, ests = [], [], []
+    try:
+        with np.errstate(**report):
+            pts, half = _gk_points(left, right)  # overflows where T nears the largest float
+    except FloatingPointError:
+        return rows, None, None
+    chunk = max(1, _CHUNK_POINTS // pts.size)
+    for lo in range(0, len(xs), chunk):
+        column = np.array(xs[lo:lo + chunk], dtype=float).reshape(-1, 1)
+        try:
+            with np.errstate(**report):
+                vals = integrand_of(column)(pts.ravel()).reshape(len(column), *pts.shape)
+                k15, est = _gk_sums(vals, half)
+                value, total = k15.sum(axis=1), est.sum(axis=1)
+        except FloatingPointError:
+            continue
+        finite = np.isfinite(total)  # not where a value is not (see _wave)
+        done = finite & (total <= tol)
+        for r, v, e in zip(np.flatnonzero(done).tolist(), value[done].tolist(), total[done].tolist()):
+            states[lo + r] = QuadratureResult(v, e, pts.size)
+        refine = finite & ~done
+        rows += (lo + np.flatnonzero(refine)).tolist()
+        k15s.append(k15[refine].ravel())
+        ests.append(est[refine].ravel())
+    if not rows:
+        return rows, None, None
+    return rows, np.concatenate(k15s), np.concatenate(ests)
+
+
+def _block_states(integrand_of, xs: Sequence[float], edges, tol):
+    """The state that each row of the block ``xs`` hands its ``integrate_*``
+    call as ``seed_wave``: its result where the block finished it, its
+    panels (left, right, k15, est) and evaluation count where the block
+    dropped it, and None where the row's seed wave is its own to evaluate.
+
+    The seed wave takes one integrand call per chunk of rows, and the rows
+    within ``tol`` finish there.  The others refine together, wave by wave,
+    each row's panels contiguous and sorted by left edge; a wave evaluates
+    all their split panels with one integrand call per slice of panels.  A
+    row is dropped, and goes on alone from where it stood, where its own
+    call would stop or fail (no panel to split, a value that is not finite)
+    and where a call of its wave would have reported a floating-point error
+    under numpy's error state: the row then fails and warns as it would
+    have, in row order.  A row is dropped too once its panels would fill a
+    slice: refining it alone costs no more, the block's memory stays
+    bounded, and the row's own call keeps its evaluation budget, far above
+    a slice's 30 evaluations per panel.
+    """
+    _check_tol(tol)
+    report = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    states = [None] * len(xs)
+    left, right = edges[:-1], edges[1:]
+    rows, k15, est = _seed_wave(integrand_of, xs, left, right, tol, report, states)
+    if not rows:
+        return states
+
+    x = np.array([xs[r] for r in rows], dtype=float)
+    rows = np.array(rows)
+    counts, evals = np.full(len(rows), left.size), np.full(len(rows), left.size * _GK_NODES.size)
+    left, right = np.tile(left, len(rows)), np.tile(right, len(rows))
+    while len(rows):
+        # not np.cumsum, which raised a 100,001-row table's peak memory 3-5 MB
+        starts = np.add.accumulate(counts) - counts
+        owner = np.repeat(np.arange(len(rows)), counts)
+        try:
+            with np.errstate(**report):
+                total, peak = _row_sums(est, starts, counts)
+                done = total <= tol
+                value, _ = _row_sums(k15, starts[done], counts[done])
+                for r, v, e, n in zip(rows[done].tolist(), value.tolist(), total[done].tolist(), evals[done].tolist()):
+                    states[r] = QuadratureResult(v, e, n)
+                split = est >= (peak / _SPLIT_FACTOR)[owner]
+                at = np.flatnonzero(split)  # the width floor of these panels only
+                floor = 8.0 * np.finfo(float).eps * np.maximum(np.abs(left[at]), np.abs(right[at]))
+                split[at] = right[at] - left[at] > floor
+                more = np.bincount(owner[split], minlength=len(rows))
+                go = ~done & (more > 0) & (counts + more <= _SLICE_PANELS)
+                cut = split & go[owner]
+                mid = 0.5 * (left[cut] + right[cut])
+        except FloatingPointError:
+            done, go = np.zeros(len(rows), bool), np.zeros(len(rows), bool)
+        if go.any():
+            new_left = np.column_stack((left[cut], mid)).ravel()
+            new_right = np.column_stack((mid, right[cut])).ravel()
+            new_k15, new_est, ok = _wave(integrand_of, np.repeat(x[owner[cut]], 2), new_left, new_right, report)
+            go[np.repeat(owner[cut], 2)[~ok]] = False
+        for i in np.flatnonzero(~done & ~go).tolist():
+            row = slice(starts[i], starts[i] + counts[i])
+            states[rows[i]] = (left[row].copy(), right[row].copy(), k15[row].copy(), est[row].copy(), int(evals[i]))
+        if not go.any():
+            break
+
+        left, right, k15, est = _split_panels(cut, go[owner], (left, right, k15, est),
+                                              (new_left, new_right, new_k15, new_est))
+        rows, x, counts, evals = rows[go], x[go], (counts + more)[go], (evals + 30 * more)[go]
+    return states
+
+
+def _split_panels(cut, keep, old, new):
+    """The panel arrays ``old`` of the rows that go on (``keep``, per panel),
+    in order, each panel in ``cut`` replaced by its two halves from ``new``."""
+    first = np.arange(len(cut))  # each panel's index into (old, new)
+    first[cut] = len(cut) + 2 * np.arange(np.count_nonzero(cut))
+    source = np.repeat(first, 1 + cut)
+    source[1:] += source[1:] == source[:-1]  # a split panel's right half
+    source = source[np.repeat(keep, 1 + cut)]
+    return [np.concatenate(pair)[source] for pair in zip(old, new)]
+
+
 def _read_only(edges: list[float]) -> np.ndarray:
     edges = np.array(edges)
     edges.flags.writeable = False  # cached: one array serves every call
@@ -217,7 +363,7 @@ def integrate_half_line(
     params: CutoffParams | None = None,
     tol: float = 1e-9,
     *,
-    seed_wave: tuple[np.ndarray, np.ndarray] | None = None,
+    seed_wave: tuple | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, T] with T = ``params.half_line_T``.
 
@@ -227,9 +373,11 @@ def integrate_half_line(
     :class:`ToleranceNotReached` carries the best
     estimate.  Results are deterministic for fixed inputs.
 
-    ``seed_wave`` is the integrand's (k15, est) on the seed panels when it
-    was computed already (see the module docstring); the integrand is then
-    evaluated only on the waves after it.
+    ``seed_wave`` is the state that ``eval_quadrature``'s block left this
+    integral at (see the module docstring): its panels' left and right
+    edges, sorted by left edge, their (k15, est) and the evaluations so far.
+    The call goes on from there, evaluating the integrand only on the waves
+    after it, and returns what it would have returned without the hand-over.
     """
     params = params or CutoffParams()
     return _adaptive(integrand, _half_line_edges(params.half_line_T), tol, seed_wave)
@@ -240,7 +388,7 @@ def integrate_tan_interval(
     params: CutoffParams | None = None,
     tol: float = 1e-9,
     *,
-    seed_wave: tuple[np.ndarray, np.ndarray] | None = None,
+    seed_wave: tuple | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, pi/2 - eps] with eps = ``params.tan_margin_eps``.
 
@@ -277,7 +425,9 @@ def _density_np(z):
 
 
 # Each factory takes x as a float, or as a column of shape (rows, 1); its
-# integrand maps t to values of shape (len(t),), or (rows, len(t)).
+# integrand maps t to values of shape (len(t),), or (rows, len(t)).  A
+# refinement wave passes one x per panel, shape (panels, 1), with t of
+# shape (panels, 15).
 
 def _f_integrand(x):
     return lambda t: x * _density_np(x * t)
@@ -344,11 +494,12 @@ def eval_quadrature(
     ``name`` is one of ``"f"``, ``"c"``, ``"u"``, ``"q"``, ``"rt"``,
     ``"H1"``, ``"H2"``, ``"delta"``, the CLI's names.  Each
     result's ``value`` is the function's value; its error estimate and
-    evaluation count are those of the integral behind it.  Each row is one
-    ``integrate_*`` call, but a chunk of rows shares one integrand call for
-    the seed wave; a row's result does not depend on its chunk: it equals
-    the scalar ``eval_*(x, params, Backend.QUADRATURE, tol)`` bit for bit.
-    The first failing row, in row order, raises its :class:`QuadratureError`.
+    evaluation count are those of the integral behind it.  The rows are
+    integrated in blocks of ``_BLOCK_ROWS`` (``_block_states``), and then
+    each row makes one ``integrate_*`` call, handed the state its block left
+    it; a row's result does not depend on its block: it equals the scalar
+    ``eval_*(x, params, Backend.QUADRATURE, tol)`` bit for bit.  The first
+    failing row, in row order, raises its :class:`QuadratureError`.
     """
     on_half_line, integrand_of, finish = _QUADRATURE[name]
     params = params or CutoffParams()
@@ -357,9 +508,15 @@ def eval_quadrature(
     else:
         integrate, edges = integrate_tan_interval, _tan_edges(params.tan_interval_upper)
     results = []
-    for x, seed_wave in zip(xs, _seed_waves(integrand_of, xs, edges)):
-        result = integrate(integrand_of(x), params, tol, seed_wave=seed_wave)
-        if finish is not None:
-            result = QuadratureResult(finish(result.value), result.abs_error_estimate, result.evaluations)
-        results.append(result)
+    for lo in range(0, len(xs), _BLOCK_ROWS):
+        block = xs[lo:lo + _BLOCK_ROWS]
+        # each state is let go as its row is done: kept to the block's end,
+        # the spent records are interleaved with the results and keep their
+        # memory from being returned (a 100,001-row table peaked 3 MB higher)
+        states = _block_states(integrand_of, block, edges, tol)[::-1]
+        for x in block:
+            result = integrate(integrand_of(x), params, tol, seed_wave=states.pop())
+            if finish is not None:
+                result = QuadratureResult(finish(result.value), result.abs_error_estimate, result.evaluations)
+            results.append(result)
     return results

@@ -1,14 +1,12 @@
 """Golden CLI outputs: fixed invocations against stored stdout and exit codes.
 
-The files under ``golden/`` hold the stdout of each invocation below.  Every
-command's stdout must match byte for byte, except ``table``: there the x, raw
-and snapped columns must match exactly, while ``backend_delta`` (the
-quadrature backend's distance from the closed form) need only stay within
-``tol``.  Its last digits vary by CPU: ``quadrature._gk_sums`` forms each
-panel's Gauss-Kronrod sums as ``vals @ weights``, an OpenBLAS ``dgemv``
-whose kernel numpy picks for the machine it runs on (ROADMAP.md, "`table`
-prints the same bytes on every BLAS build").  The closed forms of f, c, H1
-and H2 call libm's ``tanh``, so their goldens also hold that libm's bits.
+The files under ``golden/`` hold the stdout of each invocation below, and
+every command's stdout must match byte for byte.  ``table``'s
+``backend_delta`` column holds quadrature bits: ``quadrature._gk_sums``
+forms each panel's Gauss-Kronrod sums elementwise, without BLAS, so they do
+not depend on the OpenBLAS kernel numpy picks for the CPU
+(``test_table_bytes_do_not_depend_on_the_blas_kernel``).  The closed forms
+call libm (``tanh``, ``exp``), so the goldens hold that libm's bits.
 
 A change that alters any of these bytes must say so in CHANGES.md; rewrite
 the files with ``PYTHONPATH=src python tests/test_golden.py``, or only the
@@ -18,6 +16,7 @@ named cases with ``PYTHONPATH=src python tests/test_golden.py NAME...``.
 import contextlib
 import io
 import os
+import subprocess
 import sys
 
 import pytest
@@ -84,18 +83,31 @@ def test_golden_output(name):
     argv, expected_code = CASES[name]
     code, text = run(argv)
     assert code == expected_code
-    expected = golden(name)
-    if argv[0] != "table":
-        assert text == expected
-        return
-    tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else 1e-9
-    rows, expected_rows = text.splitlines(), expected.splitlines()
-    assert rows[0] == expected_rows[0] == "x,raw,snapped,backend_delta"
-    assert len(rows) == len(expected_rows)
-    for row, expected_row in zip(rows[1:], expected_rows[1:]):
-        *exact, delta = row.split(",")
-        assert exact == expected_row.split(",")[:3]
-        assert float(delta) <= tol
+    assert text == golden(name)
+
+
+def _dynamic_arch_openblas():
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # an older numpy, or no BLAS listed
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="OPENBLAS_CORETYPE picks a kernel only in an OpenBLAS built with DYNAMIC_ARCH")
+def test_table_bytes_do_not_depend_on_the_blas_kernel():
+    # Prescott, an SSE3 kernel, summed some panels with other bits than the
+    # Haswell one when the sums were BLAS products
+    argv, expected_code = CASES["table_H1"]
+    root = os.path.join(os.path.dirname(GOLDEN), os.pardir)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "heaviforge", *argv], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == expected_code
+    assert proc.stdout == golden("table_H1").encode()
 
 
 if __name__ == "__main__":

@@ -9,8 +9,11 @@ from heaviforge.quadrature import (
     NonFiniteIntegrand,
     QuadratureResult,
     ToleranceNotReached,
+    _block_states,
+    _gk_sums,
     _half_line_edges,
-    _seed_waves,
+    _panel_rule,
+    _row_sums,
     integrate_half_line,
     integrate_interval,
     integrate_tan_interval,
@@ -226,22 +229,61 @@ def test_deterministic_for_fixed_inputs():
 
 
 def test_handed_over_seed_wave_gives_the_same_result():
-    # a chunk's seed waves come from one integrand call over a column of
-    # scales; each is its row's own first wave
+    # eval_quadrature's block hands each row's integrate_* call the state it
+    # left the row at: a finished row's result, or the panels where it
+    # stopped; either way the call returns what it would have returned alone
     params = CutoffParams(half_line_T=30.0)
     scales = [0.5, 5.0, 50.0, 500.0, 5000.0]
     integrand_of = lambda x: (lambda t: x * density(x * t))
     edges = _half_line_edges(params.half_line_T)
-    waves = list(_seed_waves(integrand_of, scales, edges))
-    for x, wave in zip(scales, waves):
-        f = integrand_of(x)
-        assert integrate_half_line(f, params, 1e-12, seed_wave=wave) == integrate_half_line(f, params, 1e-12)
+    for tol in (1e-6, 1e-12, 1e-14):
+        for x, state in zip(scales, _block_states(integrand_of, scales, edges, tol)):
+            f = integrand_of(x)
+            assert isinstance(state, QuadratureResult)
+            assert integrate_half_line(f, params, tol, seed_wave=state) == integrate_half_line(f, params, tol)
+    # the panels of a row's seed wave, handed over as a dropped row's are
+    f = integrand_of(50.0)
+    left, right = edges[:-1], edges[1:]
+    panels = (left, right, *_panel_rule(f, left, right))
+    assert integrate_half_line(f, params, 1e-12, seed_wave=panels) == integrate_half_line(f, params, 1e-12)
     with pytest.raises(ValueError, match="seed_wave"):
-        integrate_tan_interval(integrand_of(5.0), seed_wave=waves[1])  # 46 panels, not 51
+        integrate_tan_interval(f, seed_wave=panels)  # panels of [0, 30], not [0, pi/2 - eps]
     # a chunk whose call would warn hands over nothing: each row evaluates,
     # warns and fails by itself
     with np.errstate(invalid="warn"):
-        assert list(_seed_waves(lambda x: (lambda t: np.sqrt(x - t)), [100.0, 1.0], edges)) == [None, None]
+        assert _block_states(lambda x: (lambda t: np.sqrt(x - t)), [100.0, 1.0], edges, 1e-9) == [None, None]
+
+
+def test_a_panels_gk_sums_do_not_depend_on_the_panels_beside_it():
+    # a BLAS matrix-vector product gives some panels other sums in another
+    # row of a larger matrix; the sums of a seed chunk (rows, panels, 15), of
+    # a refinement wave's slice and of one panel alone must be the same bits
+    rng = np.random.default_rng(18)
+    vals = rng.standard_normal((1536, 15)) * 10.0 ** rng.uniform(-12.0, 12.0, (1536, 1))
+    half = rng.uniform(1e-6, 50.0, 1536)
+    stacked = _gk_sums(vals, half)
+    alone = [_gk_sums(vals[i:i + 1], half[i:i + 1]) for i in range(len(half))]
+    for sums, one in zip(stacked, zip(*alone)):
+        assert np.array_equal(sums, np.concatenate(one))
+    for sums, chunk in zip(stacked, _gk_sums(vals.reshape(32, 48, 15), half.reshape(32, 48))):
+        assert np.array_equal(sums, chunk.ravel())
+
+
+def test_row_sums_equal_each_rows_own_sum():
+    # numpy's pairwise summation: sum(axis=1) over rows of one length runs
+    # each row's own association, at every length across its block sizes
+    rng = np.random.default_rng(4)
+    for length in (1, 7, 8, 9, 15, 46, 51, 127, 128, 129, 300):
+        rows = np.abs(rng.standard_normal((40, length))) * 10.0 ** rng.uniform(-15.0, 0.0, (40, length))
+        assert rows.sum(axis=1).tolist() == [row.sum() for row in rows]
+    # _row_sums groups the rows of a flat panel array by their length
+    counts = rng.integers(46, 140, 200)
+    starts = np.cumsum(counts) - counts
+    values = rng.standard_normal(counts.sum()) * 10.0 ** rng.uniform(-15.0, 0.0, counts.sum())
+    total, peak = _row_sums(values, starts, counts)
+    rows = [values[start:start + count] for start, count in zip(starts, counts)]
+    assert total.tolist() == [row.sum() for row in rows]
+    assert peak.tolist() == [row.max() for row in rows]
 
 
 def test_interval_helper():

@@ -296,7 +296,7 @@ def test_snap_leaves_large_floats_alone(value):
 
 
 # ---------------------------------------------------------------------------
-# batched quadrature: one seed wave per chunk of rows
+# batched quadrature: a block of rows refined together
 
 def _reference_row(name, x, params, tol):
     """One row as it ran before rows were batched: an ``integrate_*`` call
@@ -316,9 +316,12 @@ def _as_tuples(results):
     (CutoffParams(), 1e-9, (-3.0, 3.0, 0.03), False),
     (CutoffParams(half_line_T=25.0, tan_margin_eps=0.05), 1e-12, (-0.5, 0.5, 0.03125), False),
     (CutoffParams(half_line_T=200.0, indicator_scale_U=512.0), 1e-12, (-8.0, 8.0, 0.25), True),
+    # two blocks: rows of every function refine on both sides of the boundary
+    (CutoffParams(half_line_T=200.0, indicator_scale_U=512.0), 1e-12, (-8.0, 8.0, 0.05), True),
 ])
 def test_batched_column_equals_one_row_calls(name, params, tol, grid, refines):
-    # every grid spans several chunks; on the last, rows of every function refine
+    # every grid spans several chunks; on the last two, rows of every
+    # function refine
     xs = cli._grid(*grid)
     batched = _as_tuples(eval_quadrature(name, xs, params, tol))
     one_row = _as_tuples(eval_quadrature(name, [x], params, tol)[0] for x in xs)
@@ -326,20 +329,79 @@ def test_batched_column_equals_one_row_calls(name, params, tol, grid, refines):
     assert batched == one_row == reference
     if refines:
         assert len({evals for _, _, evals in batched}) > 1
+    if grid[2] == 0.05:
+        edge = quadrature._BLOCK_ROWS
+        assert len(xs) > edge
+        seed = min(evals for _, _, evals in batched)
+        assert max(evals for _, _, evals in batched[:edge]) > seed < max(evals for _, _, evals in batched[edge:])
     assert [stepfun.FAMILY[name](x, params, QUAD, tol) for x in xs] == [value for value, _, _ in batched]
 
 
-def test_batched_column_raises_for_the_first_failing_row():
+_EDGES = quadrature._half_line_edges(CutoffParams().half_line_T)
+_SEED_NODES = quadrature._gk_points(_EDGES[:-1], _EDGES[1:])[0]
+
+
+def _probe_integrand(x):
+    """A bump at t = 50 that every row refines.  Off the seed nodes, that is
+    from a row's first refinement wave on, it overflows ``np.exp`` at x = 5
+    (a warning; the values stay finite) and is NaN at x = 3 (no warning).
+    At x = 4 it is -inf everywhere, seed wave too (log of 0: a warning).
+    At x = 6 it jumps by 1000 at t = 50.3, which no tol below about 1e-10
+    resolves before the panels there reach the rounding floor."""
+    def g(t):
+        off = ~np.isin(t, _SEED_NODES)
+        spill = np.exp(np.where((x == 5.0) & off, 1e3, 0.0))
+        bump = x * quadrature._density_np(x * (t - 50.0)) / (1.0 + spill)
+        step = np.where((x == 6.0) & (t > 50.3), 1e3, 0.0)
+        return np.where((x == 3.0) & off, np.nan, bump + step) + np.log(np.where(x == 4.0, 0.0, 1.0))
+    return g
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """Make the probe integrand a member of eval_quadrature's family."""
+    monkeypatch.setitem(quadrature._QUADRATURE, "probe", (True, _probe_integrand, None))
+
+
+def test_batched_column_raises_for_the_first_failing_row(probe):
     # u's integrand is NaN once x * x overflows; f's never is
     good, bad = 1e150, 1e200
     with pytest.raises(quadrature.NonFiniteIntegrand, match="NaN or inf"):
         eval_quadrature("u", [good, good, bad, good], CutoffParams(), 1e-9)
     assert len(eval_quadrature("f", [good, bad], CutoffParams(), 1e-9)) == 2
-    # a row that runs out of budget before a non-finite row raises first
-    with pytest.raises(quadrature.ToleranceNotReached):
+    # a row that runs out of budget before a non-finite row raises first,
+    # with the best estimate of its own call
+    with pytest.raises(quadrature.ToleranceNotReached) as batched:
         eval_quadrature("u", [0.5, bad], CutoffParams(), 1e-300)
+    with pytest.raises(quadrature.ToleranceNotReached) as alone:
+        _reference_row("u", 0.5, CutoffParams(), 1e-300)
+    assert batched.value.best == alone.value.best
     with pytest.raises(quadrature.NonFiniteIntegrand):
         eval_quadrature("u", [bad, 0.5], CutoffParams(), 1e-300)
+    # the same where the failing row is mid-block and first fails in a
+    # refinement wave, not in its seed wave
+    assert min(r.evaluations for r in eval_quadrature("probe", [0.5, 1.0, 2.0], CutoffParams(), 1e-9)) > 690
+    with pytest.raises(quadrature.NonFiniteIntegrand, match="NaN or inf"):
+        eval_quadrature("probe", [1.0, 2.0, 3.0, 1.5, 2.5], CutoffParams(), 1e-9)
+    with pytest.raises(quadrature.ToleranceNotReached) as batched:
+        eval_quadrature("probe", [0.5, 3.0], CutoffParams(), 1e-300)
+    with pytest.raises(quadrature.ToleranceNotReached) as alone:
+        _reference_row("probe", 0.5, CutoffParams(), 1e-300)
+    assert batched.value.best == alone.value.best
+    with pytest.raises(quadrature.NonFiniteIntegrand):
+        eval_quadrature("probe", [3.0, 0.5], CutoffParams(), 1e-300)
+    # a row whose panels reach the rounding floor in the block stops there,
+    # as its own call would
+    with pytest.raises(quadrature.ToleranceNotReached) as batched:
+        eval_quadrature("probe", [1.0, 6.0, 2.0], CutoffParams(), 1e-12)
+    with pytest.raises(quadrature.ToleranceNotReached) as alone:
+        _reference_row("probe", 6.0, CutoffParams(), 1e-12)
+    assert batched.value.best == alone.value.best
+    assert batched.value.best.evaluations < 30 * quadrature._SLICE_PANELS
+    # a floating-point error in a refinement wave raises, under numpy's
+    # error state, before a later row's non-finite seed wave
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        eval_quadrature("probe", [1.0, 5.0, 4.0, 2.0], CutoffParams(), 1e-9)
 
 
 @pytest.mark.parametrize("name,xs", [
@@ -347,29 +409,47 @@ def test_batched_column_raises_for_the_first_failing_row():
     ("H1", [0.0, 1e300, -1e300]),
     ("delta", [1.0, 1e120, 1e200]),
     ("f", [-1e300, 0.0, 1e300]),
+    # mid-block rows that first warn, and fail, in a refinement wave
+    ("probe", [1.0, 5.0, 2.0, 3.0, 1.5]),
+    ("probe", [0.5, 1.0, 2.0, 5.0, 5.0, 1.5] + [1.0] * 16 + [4.0]),  # x = 4: a later chunk
 ])
-def test_batched_column_warns_as_its_rows_one_by_one(name, xs):
-    # a chunk's shared seed call reports no floating-point error itself;
-    # every warning and the failure come from the rows, in row order
-    def record(fn):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                fn()
-                failure = None
-            except quadrature.QuadratureError as exc:
-                failure = str(exc)
-        return failure, [(str(w.message), w.filename, w.lineno) for w in caught]
-
-    def one_by_one():
-        on_half_line, integrand_of, _ = quadrature._QUADRATURE[name]
-        integrate = quadrature.integrate_half_line if on_half_line else quadrature.integrate_tan_interval
-        for x in xs:
-            integrate(integrand_of(x), CutoffParams(), 1e-9)
-
-    batched = record(lambda: eval_quadrature(name, xs, CutoffParams(), 1e-9))
-    assert batched == record(one_by_one)
+def test_batched_column_warns_as_its_rows_one_by_one(name, xs, probe):
+    # a block's shared integrand calls report no floating-point error
+    # themselves; every warning and the failure come from the rows, in row
+    # order
+    batched = _failure_and_warnings(lambda: eval_quadrature(name, xs, CutoffParams(), 1e-9))
+    assert batched == _failure_and_warnings(lambda: _rows_one_by_one(name, xs, CutoffParams()))
     assert (batched[0] is None) == (name == "f")
+
+
+@pytest.mark.parametrize("T", [1e308, 1.5e308])
+def test_batched_column_warns_as_its_rows_one_by_one_where_panel_midpoints_overflow(T):
+    # at T = 1e308 the seed panels' midpoints are finite, but not that of
+    # [0.875 T, T], a refinement panel: the row at x = 0 refines there,
+    # warns, and fails; at 1.5e308 the seed panel [T/2, T]'s overflows
+    params = CutoffParams(half_line_T=T)
+    xs = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    batched = _failure_and_warnings(lambda: eval_quadrature("delta", xs, params, 1e-9))
+    assert batched == _failure_and_warnings(lambda: _rows_one_by_one("delta", xs, params))
+    assert batched[1][0][0] == "overflow encountered in add"
+
+
+def _failure_and_warnings(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fn()
+            failure = None
+        except quadrature.QuadratureError as exc:
+            failure = type(exc), str(exc)
+    return failure, [(str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def _rows_one_by_one(name, xs, params):
+    on_half_line, integrand_of, _ = quadrature._QUADRATURE[name]
+    integrate = quadrature.integrate_half_line if on_half_line else quadrature.integrate_tan_interval
+    for x in xs:
+        integrate(integrand_of(x), params, 1e-9)
 
 
 def test_delta_quadrature_at_huge_x_fails_cleanly():

@@ -21,9 +21,12 @@ scalar function).
 rows at a time (``_block_states``).  One integrand call evaluates the seed
 wave of a chunk of rows, and the rows still over ``tol`` then refine
 together, wave by wave, one integrand call per slice of their split
-panels.  Each row's ``integrate_*`` call is then handed, as ``seed_wave``,
-its result or the panels where the block dropped it, and it returns what it
-would have returned alone, bit for bit.  This holds because every integrand
+panels.  That is the only refinement loop: an ``integrate_*`` call runs it
+on its one row.  Each row of a block still makes its own ``integrate_*``
+call, so that a tracer of those calls counts rows, and hands it, as
+``seed_wave``, the row's result or failure, or None where the block
+dropped the row, which then evaluates alone from its seed wave.  A row's
+result does not depend on its block, bit for bit, because every integrand
 is one elementwise numpy expression, so a column of x and a single x run
 the same IEEE operations; because each panel's GK15 sums are its own
 (``_gk_sums``); and because each row's totals are its own ``sum()``
@@ -106,7 +109,7 @@ def _gk_points(left, right):
     """The GK15 abscissae of each panel, shape (panels, 15), and the panels'
     half-widths."""
     half = 0.5 * (right - left)
-    center = 0.5 * (right + left)
+    center = 0.5 * right + 0.5 * left  # right + left can overflow
     return center[:, None] + half[:, None] * _GK_NODES[None, :], half
 
 
@@ -123,20 +126,7 @@ def _gk_sums(vals, half):
     return k15, np.abs(k15 - g7)
 
 
-def _panel_rule(f, left, right):
-    """Apply GK15 to each panel; returns (k15, est, points_evaluated)."""
-    pts, half = _gk_points(left, right)
-    vals = np.asarray(f(pts.ravel()), dtype=float)
-    vals = np.broadcast_to(vals, pts.ravel().shape).reshape(pts.shape)
-    if not np.isfinite(vals).all():
-        raise NonFiniteIntegrand("integrand returned NaN or inf at a sampled point")
-    k15, est = _gk_sums(vals, half)
-    return k15, est, pts.size
-
-
-def _sorted_panels(left, right, k15, est):
-    order = np.argsort(left, kind="stable")
-    return left[order], right[order], k15[order], est[order]
+_NON_FINITE = "integrand returned NaN or inf at a sampled point"
 
 
 def _check_tol(tol):
@@ -144,50 +134,7 @@ def _check_tol(tol):
         raise ValueError(f"tol must be a positive real, got {tol!r}")
 
 
-def _adaptive(f, edges, tol, state=None):
-    _check_tol(tol)
-    if isinstance(state, QuadratureResult):
-        return state  # finished by eval_quadrature's block
-    edges = np.asarray(edges, dtype=float)
-    if state is None:
-        left, right = edges[:-1], edges[1:]
-        k15, est, evals = _panel_rule(f, left, right)
-    else:
-        left, right, k15, est, evals = state
-        if not (left.shape == right.shape == k15.shape == est.shape and left.size
-                and left[0] == edges[0] and right[-1] == edges[-1]):
-            raise ValueError(f"seed_wave must be a result, or the panels of [{edges[0]!r}, {edges[-1]!r}] "
-                             "as (left, right, k15, est, evaluations)")
-
-    while True:
-        total_est = float(est.sum())
-        value = float(k15.sum())
-        if total_est <= tol:
-            return QuadratureResult(value, total_est, evals)
-
-        best = QuadratureResult(value, total_est, evals)
-        widths = right - left
-        floor = 8.0 * np.finfo(float).eps * np.maximum(np.abs(left), np.abs(right))
-        split = (est >= est.max() / _SPLIT_FACTOR) & (widths > floor)
-        if not split.any():
-            raise ToleranceNotReached(best)  # roundoff-limited panels remain
-        if evals + 30 * int(split.sum()) > DEFAULT_EVAL_BUDGET:
-            raise ToleranceNotReached(best)
-
-        mid = 0.5 * (left[split] + right[split])
-        new_left = np.concatenate([left[split], mid])
-        new_right = np.concatenate([mid, right[split]])
-        new_k15, new_est, used = _panel_rule(f, new_left, new_right)
-        evals += used
-
-        left = np.concatenate([left[~split], new_left])
-        right = np.concatenate([right[~split], new_right])
-        k15 = np.concatenate([k15[~split], new_k15])
-        est = np.concatenate([est[~split], new_est])
-        left, right, k15, est = _sorted_panels(left, right, k15, est)
-
-
-# -- rows refined together (eval_quadrature) ---------------------------------
+# -- the refinement loop: a block of rows, or one row alone ------------------
 
 def _row_sums(values, starts, counts):
     """Each row's ``values.sum()`` and ``values.max()``, where row i holds
@@ -202,38 +149,31 @@ def _row_sums(values, starts, counts):
     return total, peak
 
 
-def _wave(integrand_of, x, left, right, report):
+def _wave(integrand_of, x, left, right, report, catch):
     """GK15 on each panel [left[i], right[i]] of the integrand at x[i], one
     integrand call per slice of ``_SLICE_PANELS`` panels: (k15, est, ok).
-    ``ok`` is False on every panel of a slice whose call would have reported
-    a floating-point error under ``report``, and on a panel whose estimate
-    is not finite, as it is wherever a value is not (the Gauss weights of
-    0 make even an infinite value's estimate NaN)."""
-    k15, est, ok = np.empty(len(left)), np.empty(len(left)), np.zeros(len(left), bool)
+    ``ok`` is False on every panel of a slice whose call raised ``catch``, a
+    floating-point error under ``report``."""
+    k15, est, ok = np.empty(len(left)), np.empty(len(left)), np.ones(len(left), bool)
     for lo in range(0, len(left), _SLICE_PANELS):
         part = slice(lo, lo + _SLICE_PANELS)
         try:
             with np.errstate(**report):
                 pts, half = _gk_points(left[part], right[part])
-                vals = integrand_of(x[part, None])(pts)
-                k15[part], est[part] = _gk_sums(vals, half)
-        except FloatingPointError:
-            continue
-        ok[part] = np.isfinite(est[part])
+                k15[part], est[part] = _gk_sums(integrand_of(x[part, None])(pts), half)
+        except catch:
+            ok[part] = False
     return k15, est, ok
 
 
-def _seed_wave(integrand_of, xs: Sequence[float], left, right, tol, report, states):
+def _seed_wave(integrand_of, xs: Sequence[float], left, right, tol, report, catch, states):
     """The seed wave of the rows ``xs`` on the panels [left, right], one
     integrand call per chunk of rows.  Each row within ``tol`` gets its
-    result in ``states``; the rows still over it are returned with their
-    (k15, est), one row's panels after another."""
+    result in ``states``, and each whose estimate is not finite, as it is
+    wherever a value is not, its failure; the rows still over ``tol`` are
+    returned with their (k15, est), one row's panels after another."""
     rows, k15s, ests = [], [], []
-    try:
-        with np.errstate(**report):
-            pts, half = _gk_points(left, right)  # overflows where T nears the largest float
-    except FloatingPointError:
-        return rows, None, None
+    pts, half = _gk_points(left, right)
     chunk = max(1, _CHUNK_POINTS // pts.size)
     for lo in range(0, len(xs), chunk):
         column = np.array(xs[lo:lo + chunk], dtype=float).reshape(-1, 1)
@@ -242,12 +182,14 @@ def _seed_wave(integrand_of, xs: Sequence[float], left, right, tol, report, stat
                 vals = integrand_of(column)(pts.ravel()).reshape(len(column), *pts.shape)
                 k15, est = _gk_sums(vals, half)
                 value, total = k15.sum(axis=1), est.sum(axis=1)
-        except FloatingPointError:
+        except catch:
             continue
-        finite = np.isfinite(total)  # not where a value is not (see _wave)
+        finite = np.isfinite(total)
         done = finite & (total <= tol)
         for r, v, e in zip(np.flatnonzero(done).tolist(), value[done].tolist(), total[done].tolist()):
             states[lo + r] = QuadratureResult(v, e, pts.size)
+        for r in np.flatnonzero(~finite).tolist():
+            states[lo + r] = NonFiniteIntegrand(_NON_FINITE)
         refine = finite & ~done
         rows += (lo + np.flatnonzero(refine)).tolist()
         k15s.append(k15[refine].ravel())
@@ -257,30 +199,33 @@ def _seed_wave(integrand_of, xs: Sequence[float], left, right, tol, report, stat
     return rows, np.concatenate(k15s), np.concatenate(ests)
 
 
-def _block_states(integrand_of, xs: Sequence[float], edges, tol):
-    """The state that each row of the block ``xs`` hands its ``integrate_*``
-    call as ``seed_wave``: its result where the block finished it, its
-    panels (left, right, k15, est) and evaluation count where the block
-    dropped it, and None where the row's seed wave is its own to evaluate.
+def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
+    """The outcome of each row of the block ``xs``: its result, its
+    :class:`QuadratureError`, or None where the block dropped the row.
 
     The seed wave takes one integrand call per chunk of rows, and the rows
     within ``tol`` finish there.  The others refine together, wave by wave,
     each row's panels contiguous and sorted by left edge; a wave evaluates
     all their split panels with one integrand call per slice of panels.  A
-    row is dropped, and goes on alone from where it stood, where its own
-    call would stop or fail (no panel to split, a value that is not finite)
-    and where a call of its wave would have reported a floating-point error
-    under numpy's error state: the row then fails and warns as it would
-    have, in row order.  A row is dropped too once its panels would fill a
-    slice: refining it alone costs no more, the block's memory stays
-    bounded, and the row's own call keeps its evaluation budget, far above
-    a slice's 30 evaluations per panel.
+    row fails as its own call would: ``ToleranceNotReached`` where no panel
+    can split or the evaluation budget would run out, ``NonFiniteIntegrand``
+    where a value is not finite.  The block drops a row where a call of its
+    wave reported a floating-point error under numpy's error state, turned
+    to "raise": the row's ``integrate_*`` call then evaluates it alone, from
+    its seed wave, and warns and fails as it would have, in row order; and
+    once its panels would fill a slice: alone it costs no more, and the
+    block's memory stays bounded.  ``alone`` is that call: one row, under
+    the caller's error state, with no cap on its panels.
     """
     _check_tol(tol)
-    report = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    if alone:
+        report, catch, cap = {}, (), math.inf
+    else:
+        report = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+        catch, cap = FloatingPointError, _SLICE_PANELS
     states = [None] * len(xs)
     left, right = edges[:-1], edges[1:]
-    rows, k15, est = _seed_wave(integrand_of, xs, left, right, tol, report, states)
+    rows, k15, est = _seed_wave(integrand_of, xs, left, right, tol, report, catch, states)
     if not rows:
         return states
 
@@ -296,27 +241,30 @@ def _block_states(integrand_of, xs: Sequence[float], edges, tol):
             with np.errstate(**report):
                 total, peak = _row_sums(est, starts, counts)
                 done = total <= tol
-                value, _ = _row_sums(k15, starts[done], counts[done])
-                for r, v, e, n in zip(rows[done].tolist(), value.tolist(), total[done].tolist(), evals[done].tolist()):
-                    states[r] = QuadratureResult(v, e, n)
                 split = est >= (peak / _SPLIT_FACTOR)[owner]
                 at = np.flatnonzero(split)  # the width floor of these panels only
                 floor = 8.0 * np.finfo(float).eps * np.maximum(np.abs(left[at]), np.abs(right[at]))
                 split[at] = right[at] - left[at] > floor
                 more = np.bincount(owner[split], minlength=len(rows))
-                go = ~done & (more > 0) & (counts + more <= _SLICE_PANELS)
+                stop = done | (more == 0) | (evals + 30 * more > DEFAULT_EVAL_BUDGET)
+                value, _ = _row_sums(k15, starts[stop], counts[stop])
+                for r, v, e, n, ok in zip(rows[stop].tolist(), value.tolist(), total[stop].tolist(),
+                                          evals[stop].tolist(), done[stop].tolist()):
+                    best = QuadratureResult(v, e, n)
+                    states[r] = best if ok else ToleranceNotReached(best)
+                go = ~stop & (counts + more <= cap)
                 cut = split & go[owner]
-                mid = 0.5 * (left[cut] + right[cut])
-        except FloatingPointError:
-            done, go = np.zeros(len(rows), bool), np.zeros(len(rows), bool)
+                mid = 0.5 * right[cut] + 0.5 * left[cut]
+        except catch:
+            go = np.zeros(len(rows), bool)
         if go.any():
             new_left = np.column_stack((left[cut], mid)).ravel()
             new_right = np.column_stack((mid, right[cut])).ravel()
-            new_k15, new_est, ok = _wave(integrand_of, np.repeat(x[owner[cut]], 2), new_left, new_right, report)
-            go[np.repeat(owner[cut], 2)[~ok]] = False
-        for i in np.flatnonzero(~done & ~go).tolist():
-            row = slice(starts[i], starts[i] + counts[i])
-            states[rows[i]] = (left[row].copy(), right[row].copy(), k15[row].copy(), est[row].copy(), int(evals[i]))
+            new_owner = np.repeat(owner[cut], 2)
+            new_k15, new_est, ok = _wave(integrand_of, x[new_owner], new_left, new_right, report, catch)
+            go[new_owner[~ok]] = False
+            for i in set(new_owner[go[new_owner] & ~np.isfinite(new_est)].tolist()):  # np.unique imports numpy.ma
+                states[rows[i]], go[i] = NonFiniteIntegrand(_NON_FINITE), False
         if not go.any():
             break
 
@@ -358,12 +306,31 @@ def _tan_edges(upper: float) -> np.ndarray:
     return _read_only([upper - upper * 2.0 ** (-k) for k in range(0, 51)] + [upper])
 
 
+def _one_row(integrand, edges, tol, seed_wave):
+    """An ``integrate_*`` call: the outcome that ``eval_quadrature``'s block
+    hands it as ``seed_wave``, or on None the block's loop on this one row."""
+    _check_tol(tol)
+    if seed_wave is None:
+        def row(t):
+            # checked before the GK15 sums, whose inf * 0 would warn
+            vals = np.asarray(integrand(t.ravel()), dtype=float)
+            if not np.isfinite(vals).all():
+                raise NonFiniteIntegrand(_NON_FINITE)
+            return np.broadcast_to(vals, t.size).reshape(t.shape)
+        (seed_wave,) = _block_states(lambda _x: row, [0.0], edges, tol, alone=True)
+    if isinstance(seed_wave, QuadratureResult):
+        return seed_wave
+    if isinstance(seed_wave, QuadratureError):
+        raise seed_wave
+    raise ValueError(f"seed_wave must be a QuadratureResult, a QuadratureError or None, got {type(seed_wave).__name__}")
+
+
 def integrate_half_line(
     integrand: Callable[[np.ndarray], np.ndarray],
     params: CutoffParams | None = None,
     tol: float = 1e-9,
     *,
-    seed_wave: tuple | None = None,
+    seed_wave: QuadratureResult | QuadratureError | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, T] with T = ``params.half_line_T``.
 
@@ -373,14 +340,14 @@ def integrate_half_line(
     :class:`ToleranceNotReached` carries the best
     estimate.  Results are deterministic for fixed inputs.
 
-    ``seed_wave`` is the state that ``eval_quadrature``'s block left this
-    integral at (see the module docstring): its panels' left and right
-    edges, sorted by left edge, their (k15, est) and the evaluations so far.
-    The call goes on from there, evaluating the integrand only on the waves
-    after it, and returns what it would have returned without the hand-over.
+    ``seed_wave`` is this integral's outcome where ``eval_quadrature``'s
+    block has it already: a result, which the call returns, or a
+    :class:`QuadratureError`, which it raises.  The keyword exists so that
+    each row of a column still makes one ``integrate_*`` call, which a
+    tracer of these calls counts (see the module docstring).
     """
     params = params or CutoffParams()
-    return _adaptive(integrand, _half_line_edges(params.half_line_T), tol, seed_wave)
+    return _one_row(integrand, _half_line_edges(params.half_line_T), tol, seed_wave)
 
 
 def integrate_tan_interval(
@@ -388,7 +355,7 @@ def integrate_tan_interval(
     params: CutoffParams | None = None,
     tol: float = 1e-9,
     *,
-    seed_wave: tuple | None = None,
+    seed_wave: QuadratureResult | QuadratureError | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, pi/2 - eps] with eps = ``params.tan_margin_eps``.
 
@@ -397,7 +364,7 @@ def integrate_tan_interval(
     ``seed_wave`` is as in :func:`integrate_half_line`.
     """
     params = params or CutoffParams()
-    return _adaptive(integrand, _tan_edges(params.tan_interval_upper), tol, seed_wave)
+    return _one_row(integrand, _tan_edges(params.tan_interval_upper), tol, seed_wave)
 
 
 def integrate_interval(
@@ -414,7 +381,7 @@ def integrate_interval(
     """
     if not (lower < upper and math.isfinite(upper - lower)):  # a finite span: finite bounds too
         raise ValueError(f"need finite lower < upper with a finite span, got [{lower!r}, {upper!r}]")
-    return _adaptive(integrand, np.linspace(lower, upper, 17), tol)
+    return _one_row(integrand, np.linspace(lower, upper, 17), tol, None)
 
 
 # -- integrands of the step-function family (see ``stepfun``) ----------------
@@ -496,7 +463,7 @@ def eval_quadrature(
     result's ``value`` is the function's value; its error estimate and
     evaluation count are those of the integral behind it.  The rows are
     integrated in blocks of ``_BLOCK_ROWS`` (``_block_states``), and then
-    each row makes one ``integrate_*`` call, handed the state its block left
+    each row makes one ``integrate_*`` call, handed its block's outcome for
     it; a row's result does not depend on its block: it equals the scalar
     ``eval_*(x, params, Backend.QUADRATURE, tol)`` bit for bit.  The first
     failing row, in row order, raises its :class:`QuadratureError`.

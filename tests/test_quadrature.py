@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ from heaviforge.quadrature import (
     DEFAULT_EVAL_BUDGET,
     CutoffParams,
     NonFiniteIntegrand,
+    QuadratureError,
     QuadratureResult,
     ToleranceNotReached,
     _block_states,
     _gk_sums,
     _half_line_edges,
-    _panel_rule,
     _row_sums,
     integrate_half_line,
     integrate_interval,
@@ -229,9 +231,9 @@ def test_deterministic_for_fixed_inputs():
 
 
 def test_handed_over_seed_wave_gives_the_same_result():
-    # eval_quadrature's block hands each row's integrate_* call the state it
-    # left the row at: a finished row's result, or the panels where it
-    # stopped; either way the call returns what it would have returned alone
+    # eval_quadrature's block hands each row's integrate_* call the row's
+    # outcome where it has one: a result, returned as it is, or a failure,
+    # raised; on None the call integrates alone
     params = CutoffParams(half_line_T=30.0)
     scales = [0.5, 5.0, 50.0, 500.0, 5000.0]
     integrand_of = lambda x: (lambda t: x * density(x * t))
@@ -240,14 +242,18 @@ def test_handed_over_seed_wave_gives_the_same_result():
         for x, state in zip(scales, _block_states(integrand_of, scales, edges, tol)):
             f = integrand_of(x)
             assert isinstance(state, QuadratureResult)
-            assert integrate_half_line(f, params, tol, seed_wave=state) == integrate_half_line(f, params, tol)
-    # the panels of a row's seed wave, handed over as a dropped row's are
+            assert integrate_half_line(f, params, tol, seed_wave=state) is state
+            assert integrate_half_line(f, params, tol, seed_wave=None) == state == integrate_half_line(f, params, tol)
     f = integrand_of(50.0)
+    failure = ToleranceNotReached(QuadratureResult(0.5, 1e-3, 690))
+    with pytest.raises(ToleranceNotReached) as info:
+        integrate_tan_interval(f, seed_wave=failure)
+    assert info.value is failure
+    # the panels that a dropped row used to be handed, or any other value
     left, right = edges[:-1], edges[1:]
-    panels = (left, right, *_panel_rule(f, left, right))
-    assert integrate_half_line(f, params, 1e-12, seed_wave=panels) == integrate_half_line(f, params, 1e-12)
-    with pytest.raises(ValueError, match="seed_wave"):
-        integrate_tan_interval(f, seed_wave=panels)  # panels of [0, 30], not [0, pi/2 - eps]
+    for other in ((left, right, left, right, 690), 0.5, "result"):
+        with pytest.raises(ValueError, match="seed_wave"):
+            integrate_half_line(f, params, 1e-12, seed_wave=other)
     # a chunk whose call would warn hands over nothing: each row evaluates,
     # warns and fails by itself
     with np.errstate(invalid="warn"):
@@ -298,3 +304,48 @@ def test_interval_helper_needs_a_finite_span():
     with pytest.raises(ValueError, match="finite span"):
         integrate_interval(lambda t: np.zeros_like(t), -1e308, 1e308)
     assert integrate_interval(lambda t: np.zeros_like(t), -8e307, 8e307).value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the calls above against a capture of the refinement loop that integrate_*
+# ran on its own before eval_quadrature's block loop became the only one
+
+REFERENCE_CALLS = {
+    **{f"{name} {tol!r}": (lambda shape=shape, integrand=integrand, tol=tol: run_battery_case(shape, integrand, tol)[0])
+       for name, shape, integrand, _ in BATTERY for tol in [1e-9] + [1e-4 / 2.0**k for k in range(13)]},
+    "half-line logistic density": lambda: integrate_half_line(lambda t: density(t), CutoffParams(half_line_T=50.0), 1e-10),
+    "half-line zero": lambda: integrate_half_line(lambda t: 0.0, CutoffParams(half_line_T=7.0), 1e-12),
+    "half-line exponential decay": lambda: integrate_half_line(lambda t: np.exp(-t), CutoffParams(half_line_T=40.0), 1e-10),
+    "half-line scaled density": lambda: integrate_half_line(lambda t: 5.0 * density(5.0 * t), CutoffParams(half_line_T=30.0), 1e-9),
+    "tan indicator": lambda: integrate_tan_interval(
+        lambda t: (1.0 + np.tan(t) ** 2) * np.exp(-np.tan(t)), CutoffParams(tan_margin_eps=1e-6), 1e-9),
+    "tan zero": lambda: integrate_tan_interval(lambda t: np.zeros_like(t), CutoffParams(), 1e-12),
+    "non-finite": lambda: integrate_half_line(
+        lambda t: np.where(t < 1.0, 1.0, np.nan), CutoffParams(half_line_T=2.0), 1e-9),
+    "budget": lambda: integrate_half_line(lambda t: np.sin(3e5 * t * t), CutoffParams(half_line_T=20.0), 1e-12),
+    "interval rounding floor": lambda: integrate_interval(lambda t: (t > 0.3).astype(float), 0.0, 1.0, 1e-300),
+    "interval cos": lambda: integrate_interval(lambda x: np.cos(x), -1.0, 1.0, 1e-10),
+    "interval wide zero": lambda: integrate_interval(lambda t: np.zeros_like(t), -8e307, 8e307),
+}
+
+
+def outcome(call):
+    """A call's [value, abs_error_estimate, evaluations], or its failure's
+    [type, message, best estimate or None]: the capture's JSON form."""
+    fields = lambda r: [r.value, r.abs_error_estimate, r.evaluations]
+    try:
+        return fields(call())
+    except QuadratureError as exc:
+        best = getattr(exc, "best", None)
+        return [type(exc).__name__, str(exc), None if best is None else fields(best)]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "quadrature_reference.json")) as f:
+        return json.load(f)["calls"]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CALLS)
+def test_calls_equal_the_captured_reference(case, reference):
+    assert outcome(REFERENCE_CALLS[case]) == reference[case]

@@ -1,5 +1,8 @@
+import hashlib
 import inspect
+import json
 import math
+import os
 import sys
 import warnings
 
@@ -298,9 +301,18 @@ def test_snap_leaves_large_floats_alone(value):
 # ---------------------------------------------------------------------------
 # batched quadrature: a block of rows refined together
 
+# One row's own integrate_* call runs the block's loop on that row alone.
+# What these calls returned, warned and raised when they ran a refinement
+# loop of their own is pinned in golden/quadrature_reference.json: rows as
+# sha256 pins of their (value, abs_error_estimate, evaluations), failures
+# and warnings as they are.
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "quadrature_reference.json")) as _f:
+    _CAPTURED = json.load(_f)
+
+
 def _reference_row(name, x, params, tol):
-    """One row as it ran before rows were batched: an ``integrate_*`` call
-    that evaluates its own seed wave, at a float x."""
+    """One row as an ``integrate_*`` call at a float x, which evaluates its
+    own seed wave."""
     on_half_line, integrand_of, finish = quadrature._QUADRATURE[name]
     integrate = quadrature.integrate_half_line if on_half_line else quadrature.integrate_tan_interval
     r = integrate(integrand_of(x), params, tol)
@@ -327,6 +339,7 @@ def test_batched_column_equals_one_row_calls(name, params, tol, grid, refines):
     one_row = _as_tuples(eval_quadrature(name, [x], params, tol)[0] for x in xs)
     reference = [_reference_row(name, x, params, tol) for x in xs]
     assert batched == one_row == reference
+    assert hashlib.sha256(repr(reference).encode()).hexdigest() == _CAPTURED["grids"][f"{name} {grid!r}"]
     if refines:
         assert len({evals for _, _, evals in batched}) > 1
     if grid[2] == 0.05:
@@ -366,17 +379,15 @@ def probe(monkeypatch):
 def test_batched_column_raises_for_the_first_failing_row(probe):
     # u's integrand is NaN once x * x overflows; f's never is
     good, bad = 1e150, 1e200
-    with pytest.raises(quadrature.NonFiniteIntegrand, match="NaN or inf"):
+    with pytest.raises(quadrature.NonFiniteIntegrand, match="NaN or inf"), _warns("invalid value"):
         eval_quadrature("u", [good, good, bad, good], CutoffParams(), 1e-9)
     assert len(eval_quadrature("f", [good, bad], CutoffParams(), 1e-9)) == 2
     # a row that runs out of budget before a non-finite row raises first,
     # with the best estimate of its own call
     with pytest.raises(quadrature.ToleranceNotReached) as batched:
         eval_quadrature("u", [0.5, bad], CutoffParams(), 1e-300)
-    with pytest.raises(quadrature.ToleranceNotReached) as alone:
-        _reference_row("u", 0.5, CutoffParams(), 1e-300)
-    assert batched.value.best == alone.value.best
-    with pytest.raises(quadrature.NonFiniteIntegrand):
+    assert batched.value.best == _best_alone("u", 0.5, 1e-300)
+    with pytest.raises(quadrature.NonFiniteIntegrand), _warns("invalid value"):
         eval_quadrature("u", [bad, 0.5], CutoffParams(), 1e-300)
     # the same where the failing row is mid-block and first fails in a
     # refinement wave, not in its seed wave
@@ -385,23 +396,31 @@ def test_batched_column_raises_for_the_first_failing_row(probe):
         eval_quadrature("probe", [1.0, 2.0, 3.0, 1.5, 2.5], CutoffParams(), 1e-9)
     with pytest.raises(quadrature.ToleranceNotReached) as batched:
         eval_quadrature("probe", [0.5, 3.0], CutoffParams(), 1e-300)
-    with pytest.raises(quadrature.ToleranceNotReached) as alone:
-        _reference_row("probe", 0.5, CutoffParams(), 1e-300)
-    assert batched.value.best == alone.value.best
+    assert batched.value.best == _best_alone("probe", 0.5, 1e-300)
     with pytest.raises(quadrature.NonFiniteIntegrand):
         eval_quadrature("probe", [3.0, 0.5], CutoffParams(), 1e-300)
     # a row whose panels reach the rounding floor in the block stops there,
     # as its own call would
     with pytest.raises(quadrature.ToleranceNotReached) as batched:
         eval_quadrature("probe", [1.0, 6.0, 2.0], CutoffParams(), 1e-12)
-    with pytest.raises(quadrature.ToleranceNotReached) as alone:
-        _reference_row("probe", 6.0, CutoffParams(), 1e-12)
-    assert batched.value.best == alone.value.best
+    assert batched.value.best == _best_alone("probe", 6.0, 1e-12)
     assert batched.value.best.evaluations < 30 * quadrature._SLICE_PANELS
     # a floating-point error in a refinement wave raises, under numpy's
-    # error state, before a later row's non-finite seed wave
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        eval_quadrature("probe", [1.0, 5.0, 4.0, 2.0], CutoffParams(), 1e-9)
+    # error state, before a later row's non-finite seed wave; a lone row's
+    # call raises it too
+    for run in (lambda: eval_quadrature("probe", [1.0, 5.0, 4.0, 2.0], CutoffParams(), 1e-9),
+                lambda: _reference_row("probe", 5.0, CutoffParams(), 1e-9)):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            run()
+
+
+def _best_alone(name, x, tol):
+    """The best estimate of a failing row's own call, as captured."""
+    with pytest.raises(quadrature.ToleranceNotReached) as alone:
+        _reference_row(name, x, CutoffParams(), tol)
+    best = alone.value.best
+    assert [best.value, best.abs_error_estimate, best.evaluations] == _CAPTURED["failing_rows"][f"{name} {x!r} {tol!r}"]
+    return best
 
 
 @pytest.mark.parametrize("name,xs", [
@@ -418,20 +437,23 @@ def test_batched_column_warns_as_its_rows_one_by_one(name, xs, probe):
     # themselves; every warning and the failure come from the rows, in row
     # order
     batched = _failure_and_warnings(lambda: eval_quadrature(name, xs, CutoffParams(), 1e-9))
-    assert batched == _failure_and_warnings(lambda: _rows_one_by_one(name, xs, CutoffParams()))
+    one_by_one = _failure_and_warnings(lambda: _rows_one_by_one(name, xs, CutoffParams()))
+    assert batched == one_by_one
     assert (batched[0] is None) == (name == "f")
+    failure, caught = one_by_one  # as captured, but for the warnings' line numbers
+    captured = [failure and [failure[0].__name__, failure[1]], [[message, os.path.basename(path)] for message, path, _ in caught]]
+    assert captured == _CAPTURED["one_by_one"][f"{name} {xs!r}"]
 
 
 @pytest.mark.parametrize("T", [1e308, 1.5e308])
-def test_batched_column_warns_as_its_rows_one_by_one_where_panel_midpoints_overflow(T):
-    # at T = 1e308 the seed panels' midpoints are finite, but not that of
-    # [0.875 T, T], a refinement panel: the row at x = 0 refines there,
-    # warns, and fails; at 1.5e308 the seed panel [T/2, T]'s overflows
+def test_batched_column_fails_as_its_rows_one_by_one_where_T_nears_the_largest_float(T):
+    # the panels next to T have midpoints 0.5 * right + 0.5 * left, finite
+    # where right + left would overflow: the rows fail, and nothing warns
     params = CutoffParams(half_line_T=T)
     xs = [-1.0, -0.5, 0.0, 0.5, 1.0]
     batched = _failure_and_warnings(lambda: eval_quadrature("delta", xs, params, 1e-9))
     assert batched == _failure_and_warnings(lambda: _rows_one_by_one("delta", xs, params))
-    assert batched[1][0][0] == "overflow encountered in add"
+    assert batched[0] is not None and batched[1] == []
 
 
 def _failure_and_warnings(fn):
@@ -454,8 +476,14 @@ def _rows_one_by_one(name, xs, params):
 
 def test_delta_quadrature_at_huge_x_fails_cleanly():
     # t * x * x overflows, and 0 * (-inf) is NaN
-    with pytest.raises(quadrature.NonFiniteIntegrand):
+    with pytest.raises(quadrature.NonFiniteIntegrand), _warns("invalid value"), _warns("overflow"):
         eval_delta(1e300, CutoffParams(), QUAD)
+
+
+def _warns(match):
+    """The row's own numpy warning, which tier-1 otherwise turns into an
+    error (pyproject.toml): a column's block never warns itself."""
+    return pytest.warns(RuntimeWarning, match=match)
 
 
 def test_delta_quadrature_holds_until_t_x_squared_overflows():

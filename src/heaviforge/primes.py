@@ -5,8 +5,8 @@ The chain: sigma0(n) sums the zero indicator rt(sin(pi (n mod i) / i)) over
 i = 1..n, so divisor terms contribute exactly 1 and the rest leak at most
 e^{-U sin^2(pi/n_max)} each; fes(n) = rt(sigma0(n) - 2) flags the primes
 (exactly two divisors); pi(x) accumulates fes(i) H1(x - i).
-:func:`prime_chain` computes all three for n = 1..n_max in near-linear time,
-bit for bit equal to the scalar definitions.
+:func:`prime_chain` computes all three for n = 1..n_max, in near-linear time
+at the planned scales, bit for bit equal to the scalar definitions.
 
 Truncating sigma0's sum at i = n is exact, not an approximation: no divisor
 of n exceeds n.  Do NOT extend the sum numerically past n -- sin(pi n / i)
@@ -88,8 +88,8 @@ def plan_precision(n_max: int, round_margin: float = 0.25) -> PrecisionPlan:
 
 
 def _check_n(n: int, plan: PrecisionPlan) -> None:
-    if not 1 <= n <= plan.n_max:
-        raise OutOfPlan(f"n={n!r} outside plan range [1, {plan.n_max}]")
+    if not (isinstance(n, int) and 1 <= n <= plan.n_max):
+        raise OutOfPlan(f"n={n!r} must be an integer in the plan range [1, {plan.n_max}]")
 
 
 def sigma0_analytic(n: int, plan: PrecisionPlan) -> float:
@@ -105,6 +105,8 @@ def sigma0_analytic(n: int, plan: PrecisionPlan) -> float:
 
 def sigma0_oracle(n: int) -> int:
     """Exact divisor count by trial division."""
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     count = 0
@@ -172,13 +174,16 @@ def prime_chain(plan: PrecisionPlan) -> tuple[list[float], list[float], list[flo
     """``(sigma0, fes, pi)`` for n = 1..plan.n_max, entry n - 1 for n.
 
     Equal bit for bit to ``sigma0_analytic(n)``, ``fes(n)`` and
-    ``pi_analytic(float(n))``, but it skips the divisor terms that are
-    exactly 0.0 and multiplies no flag by a gate that is exactly 1.0:
+    ``pi_analytic(float(n))``, but it skips the divisor terms that round
+    away and multiplies no flag by a gate that is exactly 1.0:
 
     - sigma0: for each i in ascending order, the term of residue r is
       computed once and added to every n = i + r, 2i + r, ... <= n_max.
-      Each n thus receives the scalar loop's terms in the scalar loop's
-      order, minus the terms that underflow to +0.0.
+      The terms fall from r = 0 up to i // 2 and from r = i - 1 down to
+      i // 2 + 1, so each i sweeps its residues in those two directions and
+      stops a sweep at its first term below 2^-60.  Each n thus receives the scalar
+      loop's terms in the scalar loop's order, minus terms too small to
+      change its total.
     - pi: H1 is computed once per integer offset k = n - i (float(n) - i is
       exactly float(n - i) at these sizes).  From some offset K on every
       gate is exactly 1.0, so the terms i <= n - K add up to a prefix sum
@@ -186,29 +191,26 @@ def prime_chain(plan: PrecisionPlan) -> tuple[list[float], list[float], list[flo
       scalar loop); the at most K + 1 remaining terms follow, left to right.
     """
     n_max, params = plan.n_max, plan.cutoffs
-    # Every total starts at exactly 1.0, from the i = 1 term rt(0), and the
-    # terms are non-negative, so each total stays >= 1 and a later term below
-    # 2^-53, half an ulp of 1.0, rounds away when it is added.  sin(pi m / i)
-    # >= 2 m / i for m = min(r, i - r) <= i / 2, so once 4 U m^2 >= 40 i^2
-    # the exponent -U sin^2 lies below -40 and the term below e^-40 ~ 4.2e-18,
-    # 26 times under 2^-53, which leaves room for the rounding of sin and of
-    # the products.  The residues past this band therefore change no bit.
     U = params.indicator_scale_U
-    band = math.sqrt(10.0 / U)
     # rt(x) is eval_rt's exp(-U * x * x), its operations in its order, with
     # the lookups of exp, sin and pi and the negation of U made once
     exp, sin, pi_, neg_U = math.exp, math.sin, math.pi, -U
     totals = [0.0] * (n_max + 1)  # totals[n] = sigma0(n); entry 0 unused
+    # Every total starts at exactly 1.0, from the i = 1 term rt(0), and the
+    # terms are non-negative, so a term below 2^-53, half an ulp of 1.0,
+    # rounds away when it is added.  The terms fall along each sweep, up to
+    # rounding of about 1e-14 relative, so once one lies below 2^-60 it and
+    # every later term of its sweep lie below 2^-53: stopping changes no bit.
     for i in range(1, n_max + 1):
-        m = min(i // 2, math.ceil(i * band))  # largest m whose term may change a total
-        high = range(max(m + 1, i - m), i)  # residues r = i - m' with m' <= m
-        for r in itertools.chain(range(m + 1), high):
-            if i + r > n_max:
-                break
-            s = sin(pi_ * r / i)
-            term = exp(neg_U * s * s)
-            for n in range(i + r, n_max + 1, i):
-                totals[n] += term
+        half = i // 2
+        for sweep in (range(min(half, n_max - i) + 1), range(min(i - 1, n_max - i), half, -1)):
+            for r in sweep:
+                s = sin(pi_ * r / i)
+                term = exp(neg_U * s * s)
+                if term < 2.0**-60:
+                    break
+                for n in range(i + r, n_max + 1, i):
+                    totals[n] += term
     sigma0 = totals[1:]
     flags = [exp(neg_U * d * d) for d in [s - 2.0 for s in sigma0]]  # rt(sigma0 - 2)
     # gates[j] = H1(n_max - 1 - j), offsets n_max - 1 down to -1; pi(n) pairs
@@ -238,8 +240,10 @@ def _sieve(limit: int) -> bytearray:
 
 def pi_sieve(x: float) -> int:
     """Exact count of primes <= x by the sieve of Eratosthenes."""
-    if x < 0.0:
+    if not x >= 0.0:  # NaN too
         raise ValueError(f"x must be >= 0, got {x!r}")
+    if x == math.inf:
+        raise ValueError(f"x must be finite, got {x!r}")
     return sum(_sieve(int(math.floor(x))))
 
 

@@ -450,7 +450,8 @@ def test_primes_rejects_out_of_range():
     assert run_cli("primes", "10001").returncode == 2
 
 
-# scale values at the edges of CutoffParams and of prime_chain's divisor band
+# scale values at the edges of CutoffParams, and 800/801, mid-range scales at
+# which prime_chain skips some of each i's divisor terms, not all
 PRIMES_SCALE_EDGES = [math.nextafter(1.0, 2.0), 2.0, 800.0, 801.0, 1e300, math.inf, math.nan, math.pi / 4]
 
 
@@ -466,8 +467,8 @@ def primes_argv(draw):
             U = CutoffParams(**{field: value}).indicator_scale_U
         except ValueError:
             pass  # refused: the command exits 2 before any chain runs
-    # below about 1e6 the divisor band keeps a share of every residue class,
-    # so the chain stays quadratic (primes 10000 --U 801 takes seconds)
+    # below about 1e6 the chain keeps a share of every i's residues, so it
+    # stays quadratic (primes 10000 --U 801 takes about 3 s, --U 2 about 17 s)
     n_max = draw(st.integers(-3, 400 if U is not None and U < 1e6 else 10_003))
     argv = ["primes", str(n_max)]
     if scale is not None:

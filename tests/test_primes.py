@@ -114,7 +114,10 @@ def test_pi_sieve(x, count):
 
 @pytest.mark.parametrize("oracle,arg,message", [
     (sigma0_oracle, 0, "n must be >= 1, got 0"),
+    (sigma0_oracle, 2.5, "n must be an integer, got 2.5"),
     (pi_sieve, -1.0, "x must be >= 0, got -1.0"),
+    (pi_sieve, math.nan, "x must be >= 0, got nan"),
+    (pi_sieve, math.inf, "x must be finite, got inf"),
 ])
 def test_oracles_reject_arguments_outside_their_domain(oracle, arg, message):
     with pytest.raises(ValueError, match=message):
@@ -207,7 +210,9 @@ def test_prime_chain_equals_the_scalar_definitions_bit_for_bit(plan):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n_max=st.integers(1, 150), U=st.floats(1.0, 2.0**24, exclude_min=True))
 @example(n_max=150, U=math.nextafter(1.0, 2.0))  # the widest band of H1 gates below 1.0
-@example(n_max=150, U=800.0)  # the last scale at which no divisor term is skipped
+@example(n_max=150, U=60 * math.log(2))  # the last scale at which no divisor term is skipped
+@example(n_max=150, U=math.nextafter(60 * math.log(2), math.inf))  # the first that skips one
+@example(n_max=150, U=800.0)  # mid-range scales: each i skips some residues, not all
 @example(n_max=150, U=801.0)
 @example(n_max=150, U=2.0**24)
 def test_prime_chain_is_the_scalar_chain_for_any_scale(n_max, U):
@@ -237,6 +242,12 @@ CHAIN_DIGESTS = {
     (10_000, None): "6b831e37207d48e0e36fe20cdb287b9c1b60984e6b1e1aec23e35909cabb9ab4",
     (1000, 2.0): "fa4e3489fc9d0d5e3012b25425115a6eb15324ba806b3fbc85678b7a95756b9b",
     (1000, 801.0): "39e57f2c5cf464ec9909a03c8ba7570af06f19ab7703ece7396dea9f5090148c",
+    # either side of U = 60 ln 2, where exp(-U) passes 2^-60 and the chain
+    # starts to skip divisor terms; taken from the code before the residue
+    # sweeps stopped at their first term below 2^-60
+    (1000, 60 * math.log(2)): "5476ac3b9dfb73de105dd4c23c1224f3ce0cd98759e51d5dc482bbc0081bb3bb",
+    (1000, math.nextafter(60 * math.log(2), math.inf)):
+        "b8cee7731dbda8e8a0e0deb2f2e0dfe63d571cad344705a9bf4d2388ca3803fc",
 }
 
 
@@ -264,6 +275,10 @@ def test_out_of_plan_errors():
         sigma0_analytic(51, plan)
     with pytest.raises(OutOfPlan):
         sigma0_analytic(0, plan)
+    with pytest.raises(OutOfPlan):
+        sigma0_analytic(2.5, plan)
+    with pytest.raises(OutOfPlan):
+        fes(2.5, plan)
     with pytest.raises(OutOfPlan):
         fes(51, plan)
     with pytest.raises(OutOfPlan):

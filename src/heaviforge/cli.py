@@ -27,11 +27,11 @@ import re
 import sys
 from typing import Sequence
 
+# The parser and eval/plot need only the closed-form core; primes, xiset,
+# grandi and table import their modules in the handler, so a start loads
+# what its subcommand runs.  (This module's docstring is --help's text.)
 from .cutoffs import CutoffParams, QuadratureError
-from .primes import PrecisionPlan, pi_sieve_counts, plan_precision, prime_chain, sigma0_counts
-from .setexpr import evaluate
 from .stepfun import DEFAULT_CUTOFFS, FAMILY as _FUNCTIONS, snap  # CLI name -> evaluator fn(x, params)
-from .xisets import ChainResult, format_finite_set, grandi_demo, membership_index
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
@@ -228,6 +228,8 @@ def _cmd_plot(args, params: CutoffParams) -> Result:
 
 
 def _cmd_primes(args, params: CutoffParams) -> Result:
+    from .primes import PrecisionPlan, pi_sieve_counts, plan_precision, prime_chain, sigma0_counts
+
     n_max = args.n_max
     if not 1 <= n_max <= 10_000:
         raise ValueError(f"n_max must lie in [1, 10000], got {n_max!r}")
@@ -256,6 +258,9 @@ def _cmd_primes(args, params: CutoffParams) -> Result:
 
 
 def _cmd_xiset(args, params: None) -> Result:
+    from .setexpr import evaluate
+    from .xisets import ChainResult, format_finite_set, membership_index
+
     result = evaluate(" ".join(args.expr))
     if isinstance(result, ChainResult):
         dangling = "none" if result.dangling is None else format_finite_set(result.dangling)
@@ -275,6 +280,8 @@ def _cmd_xiset(args, params: None) -> Result:
 
 
 def _cmd_grandi(args, params: None) -> Result:
+    from .xisets import grandi_demo
+
     sums, cesaro = grandi_demo(args.k)
     return ["partial_sums " + ",".join(map(str, sums)), f"cesaro_mean {cesaro}"], 0, None
 

@@ -43,8 +43,19 @@ __all__ = [
 ]
 
 
+MAX_SIEVE_X = 10**8  # pi_sieve's largest x: a sieve of one byte per integer, about 100 MB
+
+
 class OutOfPlan(ValueError):
     """Argument outside the range the precision plan was built for."""
+
+
+def _check_count(name: str, value: int) -> None:
+    """Rejects a ``value`` that is not an integer >= 1, naming it."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
 class PrecisionPlan(_Record):
@@ -58,8 +69,7 @@ class PrecisionPlan(_Record):
     _compare = _repr = ("n_max", "indicator_scale_U", "round_margin")
 
     def __init__(self, n_max: int, indicator_scale_U: float, round_margin: float):
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+        _check_count("n_max", n_max)
         if not (0.0 < round_margin < 0.5):
             raise ValueError(f"round_margin must lie in (0, 0.5), got {round_margin!r}")
         object.__setattr__(self, "n_max", n_max)
@@ -105,10 +115,7 @@ def sigma0_analytic(n: int, plan: PrecisionPlan) -> float:
 
 def sigma0_oracle(n: int) -> int:
     """Exact divisor count by trial division."""
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_count("n", n)
     count = 0
     i = 1
     while i * i <= n:
@@ -120,8 +127,7 @@ def sigma0_oracle(n: int) -> int:
 
 def sigma0_counts(n_max: int) -> list[int]:
     """Exact divisor counts sigma0(n) for n = 1..n_max, entry n - 1 for n, from one sieve."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    _check_count("n_max", n_max)
     counts = [0] * (n_max + 1)
     # sigma0_oracle's rule: a divisor i <= sqrt(n) pairs with n // i >= i, so
     # each such i counts 2, and 1 where the two coincide, at n = i * i
@@ -239,16 +245,22 @@ def _sieve(limit: int) -> bytearray:
 
 
 def pi_sieve(x: float) -> int:
-    """Exact count of primes <= x by the sieve of Eratosthenes."""
+    """Exact count of primes <= x by the sieve of Eratosthenes.
+
+    x is capped at MAX_SIEVE_X = 10^8: the sieve takes one byte per integer
+    up to x, so the cap bounds it at about 100 MB.  A larger x is rejected
+    before anything is allocated.
+    """
     if not x >= 0.0:  # NaN too
         raise ValueError(f"x must be >= 0, got {x!r}")
     if x == math.inf:
         raise ValueError(f"x must be finite, got {x!r}")
+    if x > MAX_SIEVE_X:
+        raise ValueError(f"x must be <= {MAX_SIEVE_X}, got {x!r}")
     return sum(_sieve(int(math.floor(x))))
 
 
 def pi_sieve_counts(n_max: int) -> list[int]:
     """Exact prime counts pi(n) for n = 1..n_max, entry n - 1 for n, from one sieve."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    _check_count("n_max", n_max)
     return list(itertools.accumulate(_sieve(n_max)))[1:]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from heaviforge import cli
 from heaviforge.primes import (
+    MAX_SIEVE_X,
     OutOfPlan,
     PrecisionPlan,
     _gated_count,
@@ -97,6 +98,18 @@ def test_plan_rejects_bad_arguments():
         PrecisionPlan(n_max=5, indicator_scale_U=-1.0, round_margin=0.25)
 
 
+@pytest.mark.parametrize("build", [
+    plan_precision,
+    lambda n_max: PrecisionPlan(n_max, 64.0, 0.25),
+    sigma0_counts,
+    pi_sieve_counts,
+])
+@pytest.mark.parametrize("n_max", [2.5, 10.0, "10"])
+def test_a_non_integer_n_max_is_rejected_by_name(build, n_max):
+    with pytest.raises(ValueError, match=f"n_max must be an integer, got {n_max!r}"):
+        build(n_max)
+
+
 # ---------------------------------------------------------------------------
 # exact oracles
 
@@ -118,10 +131,18 @@ def test_pi_sieve(x, count):
     (pi_sieve, -1.0, "x must be >= 0, got -1.0"),
     (pi_sieve, math.nan, "x must be >= 0, got nan"),
     (pi_sieve, math.inf, "x must be finite, got inf"),
+    (pi_sieve, 1e12, r"x must be <= 100000000, got 1000000000000\.0"),
+    (pi_sieve, 1e300, r"x must be <= 100000000, got 1e\+300"),
+    (pi_sieve, MAX_SIEVE_X + 0.5, r"x must be <= 100000000, got 100000000\.5"),
 ])
 def test_oracles_reject_arguments_outside_their_domain(oracle, arg, message):
     with pytest.raises(ValueError, match=message):
         oracle(arg)
+
+
+def test_pi_sieve_cap_is_the_one_its_docstring_states():
+    assert MAX_SIEVE_X == 10**8
+    assert "MAX_SIEVE_X = 10^8" in pi_sieve.__doc__
 
 
 def test_pi_sieve_counts_primes_at_noninteger_points():

@@ -43,19 +43,21 @@ __all__ = [
 ]
 
 
-MAX_SIEVE_X = 10**8  # pi_sieve's largest x: a sieve of one byte per integer, about 100 MB
+MAX_SIEVE_X = 10**8  # the sieves' largest x or n_max: pi_sieve's is one byte per integer, about 100 MB
 
 
 class OutOfPlan(ValueError):
     """Argument outside the range the precision plan was built for."""
 
 
-def _check_count(name: str, value: int) -> None:
-    """Rejects a ``value`` that is not an integer >= 1, naming it."""
+def _check_count(name: str, value: int, most: float = math.inf) -> None:
+    """Rejects a ``value`` that is not an integer in 1..most, naming it."""
     if not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value!r}")
 
 
 class PrecisionPlan(_Record):
@@ -126,8 +128,11 @@ def sigma0_oracle(n: int) -> int:
 
 
 def sigma0_counts(n_max: int) -> list[int]:
-    """Exact divisor counts sigma0(n) for n = 1..n_max, entry n - 1 for n, from one sieve."""
-    _check_count("n_max", n_max)
+    """Exact divisor counts sigma0(n) for n = 1..n_max, entry n - 1 for n, from one sieve.
+
+    n_max is capped at MAX_SIEVE_X = 10^8, checked before anything is allocated.
+    """
+    _check_count("n_max", n_max, MAX_SIEVE_X)
     counts = [0] * (n_max + 1)
     # sigma0_oracle's rule: a divisor i <= sqrt(n) pairs with n // i >= i, so
     # each such i counts 2, and 1 where the two coincide, at n = i * i
@@ -261,6 +266,9 @@ def pi_sieve(x: float) -> int:
 
 
 def pi_sieve_counts(n_max: int) -> list[int]:
-    """Exact prime counts pi(n) for n = 1..n_max, entry n - 1 for n, from one sieve."""
-    _check_count("n_max", n_max)
+    """Exact prime counts pi(n) for n = 1..n_max, entry n - 1 for n, from one sieve.
+
+    n_max is capped at MAX_SIEVE_X = 10^8, checked before anything is allocated.
+    """
+    _check_count("n_max", n_max, MAX_SIEVE_X)
     return list(itertools.accumulate(_sieve(n_max)))[1:]

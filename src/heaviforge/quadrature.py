@@ -18,18 +18,17 @@ array and return an array of the same shape (``numpy.vectorize`` adapts any
 scalar function).
 
 ``eval_quadrature`` integrates one integrand per x over many x, a block of
-rows at a time (``_block_states``).  One integrand call evaluates the seed
-wave of a chunk of rows, and the rows still over ``tol`` then refine
-together, wave by wave, one integrand call per slice of their split
-panels.  That is the only refinement loop: an ``integrate_*`` call runs it
-on its one row.  Each row of a block still makes its own ``integrate_*``
-call, so that a tracer of those calls counts rows, and hands it, as
-``seed_wave``, the row's result or failure, or None where the block
-dropped the row, which then evaluates alone from its seed wave.  A row's
-result does not depend on its block, bit for bit, because every integrand
-is one elementwise numpy expression, so a column of x and a single x run
-the same IEEE operations; because each panel's GK15 sums are its own
-(``_gk_sums``); and because each row's totals are its own ``sum()``
+rows at a time (``_block_states``).  The rows refine together, wave by
+wave, the seed wave first, and one rule at the top of every wave decides
+each row's outcome.  That is the only refinement loop: an ``integrate_*``
+call runs it on its one row.  Each row of a block still makes its own
+``integrate_*`` call, so that a tracer of those calls counts rows, and
+hands it, as ``seed_wave``, the row's result or failure, or None where the
+block dropped the row, which then evaluates alone from its seed wave.  A
+row's result does not depend on its block, bit for bit, because every
+integrand is one elementwise numpy expression, so a column of x and a
+single x run the same IEEE operations; because each panel's GK15 sums are
+its own (``_gk_sums``); and because each row's totals are its own ``sum()``
 (``_row_sums``).  The delta integrand f' - u' (x-derivatives of the f and u
 integrands) is, with z = t x and rho(z) = e^z/(1+e^z)^2 (``_density_np``),
 
@@ -144,7 +143,10 @@ def _row_sums(values, starts, counts):
     total, peak = np.empty(len(counts)), np.empty(len(counts))
     for count in set(counts.tolist()):
         rows = np.flatnonzero(counts == count)
-        panels = values[starts[rows, None] + np.arange(count)]
+        if len(rows) * count == values.size:  # every row: a view, not a gather
+            panels = values.reshape(len(rows), count)
+        else:
+            panels = values[starts[rows, None] + np.arange(count)]
         total[rows], peak[rows] = panels.sum(axis=1), panels.max(axis=1)
     return total, peak
 
@@ -166,56 +168,47 @@ def _wave(integrand_of, x, left, right, report, catch):
     return k15, est, ok
 
 
-def _seed_wave(integrand_of, xs: Sequence[float], left, right, tol, report, catch, states):
-    """The seed wave of the rows ``xs`` on the panels [left, right], one
-    integrand call per chunk of rows.  Each row within ``tol`` gets its
-    result in ``states``, and each whose estimate is not finite, as it is
-    wherever a value is not, its failure; the rows still over ``tol`` are
-    returned with their (k15, est), one row's panels after another."""
-    rows, k15s, ests = [], [], []
+def _seed_wave(integrand_of, x, left, right, report, catch):
+    """GK15 on the seed panels [left, right] of the integrand at each x, one
+    integrand call per chunk of rows, which broadcasts the chunk's column of
+    x against the panels' shared abscissae: (k15, est), shape (rows,
+    panels), and ``ok``, False on every row of a chunk whose call raised
+    ``catch``, a floating-point error under ``report``."""
     pts, half = _gk_points(left, right)
+    k15, est, ok = np.empty((len(x), left.size)), np.empty((len(x), left.size)), np.ones(len(x), bool)
     chunk = max(1, _CHUNK_POINTS // pts.size)
-    for lo in range(0, len(xs), chunk):
-        column = np.array(xs[lo:lo + chunk], dtype=float).reshape(-1, 1)
+    for lo in range(0, len(x), chunk):
+        part = slice(lo, lo + chunk)
+        column = x[part, None]
         try:
             with np.errstate(**report):
                 vals = integrand_of(column)(pts.ravel()).reshape(len(column), *pts.shape)
-                k15, est = _gk_sums(vals, half)
-                value, total = k15.sum(axis=1), est.sum(axis=1)
+                k15[part], est[part] = _gk_sums(vals, half)
         except catch:
-            continue
-        finite = np.isfinite(total)
-        done = finite & (total <= tol)
-        for r, v, e in zip(np.flatnonzero(done).tolist(), value[done].tolist(), total[done].tolist()):
-            states[lo + r] = QuadratureResult(v, e, pts.size)
-        for r in np.flatnonzero(~finite).tolist():
-            states[lo + r] = NonFiniteIntegrand(_NON_FINITE)
-        refine = finite & ~done
-        rows += (lo + np.flatnonzero(refine)).tolist()
-        k15s.append(k15[refine].ravel())
-        ests.append(est[refine].ravel())
-    if not rows:
-        return rows, None, None
-    return rows, np.concatenate(k15s), np.concatenate(ests)
+            ok[part] = False
+    return k15, est, ok
 
 
 def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
     """The outcome of each row of the block ``xs``: its result, its
     :class:`QuadratureError`, or None where the block dropped the row.
 
-    The seed wave takes one integrand call per chunk of rows, and the rows
-    within ``tol`` finish there.  The others refine together, wave by wave,
-    each row's panels contiguous and sorted by left edge; a wave evaluates
-    all their split panels with one integrand call per slice of panels.  A
-    row fails as its own call would: ``ToleranceNotReached`` where no panel
-    can split or the evaluation budget would run out, ``NonFiniteIntegrand``
-    where a value is not finite.  The block drops a row where a call of its
-    wave reported a floating-point error under numpy's error state, turned
-    to "raise": the row's ``integrate_*`` call then evaluates it alone, from
-    its seed wave, and warns and fails as it would have, in row order; and
-    once its panels would fill a slice: alone it costs no more, and the
-    block's memory stays bounded.  ``alone`` is that call: one row, under
-    the caller's error state, with no cap on its panels.
+    The rows refine together, wave by wave, each row's panels contiguous
+    and sorted by left edge.  The first wave is the seed wave, one
+    integrand call per chunk of rows on the seed panels; every later wave
+    evaluates the rows' split panels with one integrand call per slice of
+    panels.  At the top of each wave one rule decides every row, as its own
+    call would: ``NonFiniteIntegrand`` where its total error estimate is
+    not finite, as it is wherever a value is not; its result where that
+    total is within ``tol``; ``ToleranceNotReached`` where no panel can
+    split or the evaluation budget would run out.  The block drops a row
+    where a call of its wave, or the rule's arithmetic, reported a
+    floating-point error under numpy's error state, turned to "raise": the
+    row's ``integrate_*`` call then evaluates it alone, from its seed wave,
+    and warns and fails as it would have, in row order; and once its panels
+    would fill a slice: alone it costs no more, and the block's memory
+    stays bounded.  ``alone`` is that call: one row, under the caller's
+    error state, with no cap on its panels.
     """
     _check_tol(tol)
     if alone:
@@ -224,13 +217,10 @@ def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
         report = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
         catch, cap = FloatingPointError, _SLICE_PANELS
     states = [None] * len(xs)
-    left, right = edges[:-1], edges[1:]
-    rows, k15, est = _seed_wave(integrand_of, xs, left, right, tol, report, catch, states)
-    if not rows:
-        return states
-
-    x = np.array([xs[r] for r in rows], dtype=float)
-    rows = np.array(rows)
+    x, left, right = np.array(xs, dtype=float), edges[:-1], edges[1:]
+    k15, est, ok = _seed_wave(integrand_of, x, left, right, report, catch)
+    rows = np.flatnonzero(ok)
+    x, k15, est = x[rows], k15[rows].ravel(), est[rows].ravel()
     counts, evals = np.full(len(rows), left.size), np.full(len(rows), left.size * _GK_NODES.size)
     left, right = np.tile(left, len(rows)), np.tile(right, len(rows))
     while len(rows):
@@ -240,34 +230,34 @@ def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
         try:
             with np.errstate(**report):
                 total, peak = _row_sums(est, starts, counts)
+                finite = np.isfinite(total)
+                for r in rows[~finite].tolist():
+                    states[r] = NonFiniteIntegrand(_NON_FINITE)
                 done = total <= tol
                 split = est >= (peak / _SPLIT_FACTOR)[owner]
                 at = np.flatnonzero(split)  # the width floor of these panels only
                 floor = 8.0 * np.finfo(float).eps * np.maximum(np.abs(left[at]), np.abs(right[at]))
                 split[at] = right[at] - left[at] > floor
                 more = np.bincount(owner[split], minlength=len(rows))
-                stop = done | (more == 0) | (evals + 30 * more > DEFAULT_EVAL_BUDGET)
+                stop = finite & (done | (more == 0) | (evals + 30 * more > DEFAULT_EVAL_BUDGET))
                 value, _ = _row_sums(k15, starts[stop], counts[stop])
                 for r, v, e, n, ok in zip(rows[stop].tolist(), value.tolist(), total[stop].tolist(),
                                           evals[stop].tolist(), done[stop].tolist()):
                     best = QuadratureResult(v, e, n)
                     states[r] = best if ok else ToleranceNotReached(best)
-                go = ~stop & (counts + more <= cap)
+                go = finite & ~stop & (counts + more <= cap)
                 cut = split & go[owner]
                 mid = 0.5 * right[cut] + 0.5 * left[cut]
         except catch:
             go = np.zeros(len(rows), bool)
-        if go.any():
-            new_left = np.column_stack((left[cut], mid)).ravel()
-            new_right = np.column_stack((mid, right[cut])).ravel()
-            new_owner = np.repeat(owner[cut], 2)
-            new_k15, new_est, ok = _wave(integrand_of, x[new_owner], new_left, new_right, report, catch)
-            go[new_owner[~ok]] = False
-            for i in set(new_owner[go[new_owner] & ~np.isfinite(new_est)].tolist()):  # np.unique imports numpy.ma
-                states[rows[i]], go[i] = NonFiniteIntegrand(_NON_FINITE), False
         if not go.any():
             break
 
+        new_left = np.column_stack((left[cut], mid)).ravel()
+        new_right = np.column_stack((mid, right[cut])).ravel()
+        new_owner = np.repeat(owner[cut], 2)
+        new_k15, new_est, ok = _wave(integrand_of, x[new_owner], new_left, new_right, report, catch)
+        go[new_owner[~ok]] = False
         left, right, k15, est = _split_panels(cut, go[owner], (left, right, k15, est),
                                               (new_left, new_right, new_k15, new_est))
         rows, x, counts, evals = rows[go], x[go], (counts + more)[go], (evals + 30 * more)[go]

@@ -145,6 +145,15 @@ def test_pi_sieve_cap_is_the_one_its_docstring_states():
     assert "MAX_SIEVE_X = 10^8" in pi_sieve.__doc__
 
 
+@pytest.mark.parametrize("counts", [sigma0_counts, pi_sieve_counts])
+@pytest.mark.parametrize("n_max", [MAX_SIEVE_X + 1, 10**12])
+def test_sieve_counts_reject_n_max_above_the_cap_by_name(counts, n_max):
+    # rejected before the sieve is allocated: 10**12 entries would not fit
+    assert "MAX_SIEVE_X = 10^8" in counts.__doc__
+    with pytest.raises(ValueError, match=f"n_max must be <= 100000000, got {n_max}$"):
+        counts(n_max)
+
+
 def test_pi_sieve_counts_primes_at_noninteger_points():
     assert pi_sieve(2.5) == 1
     assert pi_sieve(1.9999) == 0

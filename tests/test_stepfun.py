@@ -306,8 +306,17 @@ def test_snap_leaves_large_floats_alone(value):
 # loop of their own is pinned in golden/quadrature_reference.json: rows as
 # sha256 pins of their (value, abs_error_estimate, evaluations), failures
 # and warnings as they are.
-with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "quadrature_reference.json")) as _f:
+_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "quadrature_reference.json")
+with open(_REFERENCE) as _f:
     _CAPTURED = json.load(_f)
+
+
+def test_the_captured_reference_keeps_its_bytes():
+    # A change that re-captures the reference must change this hash and list
+    # in CHANGES.md every pin that moved, and why.
+    with open(_REFERENCE, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    assert digest == "f85f2c487c00d08a5d2ce4a42073c97703103594e3627c58243811bfb6d5c557"
 
 
 def _reference_row(name, x, params, tol):
@@ -453,6 +462,23 @@ def test_batched_column_fails_as_its_rows_one_by_one_where_T_nears_the_largest_f
     xs = [-1.0, -0.5, 0.0, 0.5, 1.0]
     batched = _failure_and_warnings(lambda: eval_quadrature("delta", xs, params, 1e-9))
     assert batched == _failure_and_warnings(lambda: _rows_one_by_one("delta", xs, params))
+    assert batched[0] is not None and batched[1] == []
+
+
+@pytest.mark.parametrize("name,xs", [
+    ("u", [0.5, 1e200, 0.5]),
+    ("delta", [1.0, 1e200]),
+    ("H1", [0.0, 1e300]),
+    ("probe", [1.0, 3.0, 2.0]),  # NaN from the first refinement wave on
+    ("probe", [1.0, 4.0]),  # -inf on the seed wave
+])
+def test_batched_column_fails_as_its_rows_one_by_one_where_numpy_ignores_every_error(name, xs, probe):
+    # the block then catches no floating-point error: only the rule on each
+    # row's total error estimate decides the non-finite rows
+    with np.errstate(all="ignore"):
+        batched = _failure_and_warnings(lambda: eval_quadrature(name, xs, CutoffParams(), 1e-9))
+        one_by_one = _failure_and_warnings(lambda: _rows_one_by_one(name, xs, CutoffParams()))
+    assert batched == one_by_one
     assert batched[0] is not None and batched[1] == []
 
 

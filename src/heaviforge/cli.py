@@ -30,7 +30,7 @@ from typing import Sequence
 # The parser and eval/plot need only the closed-form core; primes, xiset,
 # grandi and table import their modules in the handler, so a start loads
 # what its subcommand runs.  (This module's docstring is --help's text.)
-from .cutoffs import CutoffParams, QuadratureError
+from .cutoffs import DEFAULT_TOL, CutoffParams, QuadratureError
 from .stepfun import DEFAULT_CUTOFFS, FAMILY as _FUNCTIONS, snap  # CLI name -> evaluator fn(x, params)
 
 USAGE_ERROR = 2
@@ -54,13 +54,13 @@ def _finite(text: str) -> float:
 # option -> (argparse settings, the subcommands that honour it); an option
 # a subcommand would ignore is refused by argparse with exit 2
 _OPTIONS = {
-    "--T": (dict(type=_finite, default=100.0, help="half-line cutoff (default 100)"),
+    "--T": (dict(type=_finite, default=DEFAULT_CUTOFFS.half_line_T, help="half-line cutoff (default 100)"),
             ("eval", "table", "plot")),
     "--U": (dict(type=_finite, default=None, help="indicator scale (default 128)"),
             ("eval", "table", "plot", "primes")),
     "--eps": (dict(type=_finite, default=None, help="tangent-interval margin before pi/2"),
               ("eval", "table", "plot", "primes")),
-    "--tol": (dict(type=_finite, default=1e-9, help="quadrature tolerance (default 1e-9)"),
+    "--tol": (dict(type=_finite, default=DEFAULT_TOL, help="quadrature tolerance (default 1e-9)"),
               ("table",)),
     "--snap-atol": (dict(type=_finite, default=1e-6, help="snapping tolerance (default 1e-6)"),
                     ("eval", "table")),
@@ -259,7 +259,7 @@ def _cmd_primes(args, params: CutoffParams) -> Result:
 
 def _cmd_xiset(args, params: None) -> Result:
     from .setexpr import evaluate
-    from .xisets import ChainResult, format_finite_set, membership_index
+    from .xisets import ChainResult, _components_text, format_finite_set, membership_index
 
     result = evaluate(" ".join(args.expr))
     if isinstance(result, ChainResult):
@@ -270,11 +270,11 @@ def _cmd_xiset(args, params: None) -> Result:
             f"groups {result.groups}",
             f"dangling-tail {dangling}",
         ], 0, None
-    index_texts = list(map(str, range(result.xi_class + 1)))  # each index's text once
-    lines = [f"xi_class {result.xi_class}", f"components {result}"]
+    index, index_texts = membership_index(result), list(map(str, range(result.xi_class + 1)))
+    lines = [f"xi_class {result.xi_class}", f"components {_components_text(result, index)}"]
     lines += [
         f"atom {atom}: mode={mode.value} T={{{','.join(map(index_texts.__getitem__, t))}}}"
-        for atom, t, mode in membership_index(result)
+        for atom, t, mode in index
     ]
     return lines, 0, None
 

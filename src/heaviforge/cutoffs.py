@@ -21,9 +21,11 @@ __all__ = [
     "NonFiniteIntegrand",
     "ToleranceNotReached",
     "DEFAULT_EVAL_BUDGET",
+    "DEFAULT_TOL",
 ]
 
 DEFAULT_EVAL_BUDGET = 1_000_000
+DEFAULT_TOL = 1e-9  # default bound on a quadrature row's absolute error estimate
 
 
 class _Record:

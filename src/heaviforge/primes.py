@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 
-MAX_SIEVE_X = 10**8  # the sieves' largest x or n_max: pi_sieve's is one byte per integer, about 100 MB
+MAX_SIEVE_X = 10**8  # pi_sieve's largest x: one byte per integer, about 100 MB
+MAX_COUNT_N = 10**6  # the count sieves' largest n_max: a list of Python ints each, at most about 45 MB
 
 
 class OutOfPlan(ValueError):
@@ -130,9 +131,11 @@ def sigma0_oracle(n: int) -> int:
 def sigma0_counts(n_max: int) -> list[int]:
     """Exact divisor counts sigma0(n) for n = 1..n_max, entry n - 1 for n, from one sieve.
 
-    n_max is capped at MAX_SIEVE_X = 10^8, checked before anything is allocated.
+    n_max is capped at MAX_COUNT_N = 10^6: the sieve is a list of Python
+    ints, about 15 MB at the cap, filled by an interpreted loop.  A larger
+    n_max is rejected before anything is allocated.
     """
-    _check_count("n_max", n_max, MAX_SIEVE_X)
+    _check_count("n_max", n_max, MAX_COUNT_N)
     counts = [0] * (n_max + 1)
     # sigma0_oracle's rule: a divisor i <= sqrt(n) pairs with n // i >= i, so
     # each such i counts 2, and 1 where the two coincide, at n = i * i
@@ -268,7 +271,9 @@ def pi_sieve(x: float) -> int:
 def pi_sieve_counts(n_max: int) -> list[int]:
     """Exact prime counts pi(n) for n = 1..n_max, entry n - 1 for n, from one sieve.
 
-    n_max is capped at MAX_SIEVE_X = 10^8, checked before anything is allocated.
+    n_max is capped at MAX_COUNT_N = 10^6: the result is a list of Python
+    ints, about 45 MB at the cap.  A larger n_max is rejected before
+    anything is allocated.
     """
-    _check_count("n_max", n_max, MAX_SIEVE_X)
+    _check_count("n_max", n_max, MAX_COUNT_N)
     return list(itertools.accumulate(_sieve(n_max)))[1:]

@@ -55,6 +55,7 @@ import numpy as np
 
 from .cutoffs import (
     DEFAULT_EVAL_BUDGET,
+    DEFAULT_TOL,
     CutoffParams,
     NonFiniteIntegrand,
     QuadratureError,
@@ -318,7 +319,7 @@ def _one_row(integrand, edges, tol, seed_wave):
 def integrate_half_line(
     integrand: Callable[[np.ndarray], np.ndarray],
     params: CutoffParams | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     *,
     seed_wave: QuadratureResult | QuadratureError | None = None,
 ) -> QuadratureResult:
@@ -343,7 +344,7 @@ def integrate_half_line(
 def integrate_tan_interval(
     integrand: Callable[[np.ndarray], np.ndarray],
     params: CutoffParams | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     *,
     seed_wave: QuadratureResult | QuadratureError | None = None,
 ) -> QuadratureResult:
@@ -361,7 +362,7 @@ def integrate_interval(
     integrand: Callable[[np.ndarray], np.ndarray],
     lower: float,
     upper: float,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> QuadratureResult:
     """Integrate over an arbitrary finite interval [lower, upper].
 
@@ -444,7 +445,7 @@ def eval_quadrature(
     name: str,
     xs: Sequence[float],
     params: CutoffParams | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> list[QuadratureResult]:
     """Quadrature backend of the function ``name`` at every x in ``xs``.
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .cutoffs import CutoffParams
+from .cutoffs import DEFAULT_TOL, CutoffParams
 
 __all__ = [
     "Backend",
@@ -109,7 +109,7 @@ def _evaluator(name: str, closed, doc: str):
         x: float,
         params: CutoffParams | None = None,
         backend: Backend = Backend.CLOSED_FORM,
-        tol: float = 1e-9,
+        tol: float = DEFAULT_TOL,
     ) -> float:
         params = params or DEFAULT_CUTOFFS
         if backend is Backend.CLOSED_FORM:
@@ -136,7 +136,7 @@ def _delta(x: float, params: CutoffParams) -> float:
     return T * _density(T * x) - x * math.exp(-T * x * x) * 2.0 * T
 
 
-# CLI name -> evaluator fn(x, params=None, backend=CLOSED_FORM, tol=1e-9);
+# CLI name -> evaluator fn(x, params=None, backend=CLOSED_FORM, tol=DEFAULT_TOL);
 # the twins f/c and u/q differ only in the scale their kernel reads
 FAMILY = {
     "f": _evaluator("f", lambda x, p: _ramp(x * p.half_line_T),
@@ -172,7 +172,7 @@ def eval_step(
     x: float,
     params: CutoffParams | None = None,
     backend: Backend = Backend.CLOSED_FORM,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """Unit step at scale U.
 

@@ -80,11 +80,6 @@ def format_finite_set(s: Iterable[Hashable]) -> str:
     return _set_text([str(a) for a in sorted(s, key=atom_key)])
 
 
-def _union_atoms(components: tuple[frozenset, ...]) -> list:
-    """The atoms of the union of ``components``, in ``atom_key`` order."""
-    return sorted(frozenset().union(*components), key=atom_key)
-
-
 class XiSet(_Record):
     """An ordered, deduplicated tuple of component sets."""
 
@@ -122,15 +117,7 @@ class XiSet(_Record):
         return xi_difference(self, other)
 
     def __str__(self):
-        # format_finite_set per component, with one atom_key sort for the
-        # union: a component's atoms in rank order are in atom_key order.
-        # Atoms that compare equal (1, 1.0, True) are one atom of the union
-        # and print as the text of the first one seen.
-        atoms = _union_atoms(self.components)
-        rank, texts = dict(zip(atoms, range(len(atoms)))), list(map(str, atoms))
-        return " || ".join(
-            _set_text(list(map(texts.__getitem__, sorted(map(rank.__getitem__, c))))) for c in self.components
-        )
+        return _components_text(self, membership_index(self))
 
     def __repr__(self):
         return f"XiSet[{self}]"
@@ -215,11 +202,24 @@ def membership_index(x: XiSet) -> list[tuple[Hashable, list[int], MembershipMode
     one pass over the components instead of one scan per atom.  An atom
     outside the union is absent; its mode is NONE.
     """
-    hits = {atom: [] for atom in _union_atoms(x.components)}
+    hits = {atom: [] for atom in sorted(frozenset().union(*x.components), key=atom_key)}
     for i, c in enumerate(x.components, start=1):
         for atom in c:
             hits[atom].append(i)
     return [(atom, t, _mode(len(t), x.xi_class)) for atom, t in hits.items()]
+
+
+def _components_text(x: XiSet, index: list[tuple[Hashable, list[int], MembershipMode]]) -> str:
+    """``str(x)`` from ``index``, its :func:`membership_index`: each atom's
+    text joins the part of every component in its T, so each part is in
+    ``atom_key`` order.  Atoms that compare equal (1, 1.0, True) are one atom
+    of the union and print as the text of the first one seen."""
+    parts = [[] for _ in range(x.xi_class + 1)]
+    for atom, t, _ in index:
+        text = str(atom)
+        for i in t:
+            parts[i].append(text)
+    return " || ".join(map(_set_text, parts[1:]))
 
 
 class ChainStrategy(enum.Enum):

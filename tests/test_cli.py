@@ -191,6 +191,18 @@ def test_readme_option_table_matches_the_parser():
     assert formats == cli._FORMATS
 
 
+def test_help_states_the_defaults_a_bare_table_uses(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    code, out, _ = run_in_process(["table", "--help"])
+    assert code == 0
+    stated = dict(re.findall(r"^\s+--([\w-]+) \S+\s+.*\(default (\S+)\)$", out, re.M))
+    assert stated == {"T": "100", "U": "128", "tol": "1e-9", "snap-atol": "1e-6"}
+    args = cli._build_parser().parse_args(["table", "f", "0", "1", "0.5"])
+    params = CutoffParams(half_line_T=args.T, tan_margin_eps=args.eps, indicator_scale_U=args.U)
+    used = {"T": params.half_line_T, "U": params.indicator_scale_U, "tol": args.tol, "snap-atol": args.snap_atol}
+    assert used == {name: float(text) for name, text in stated.items()}
+
+
 @pytest.mark.parametrize("args,out", [
     (("table", "f", "0", "1", "0.5"), "."),  # a directory: IsADirectoryError
     (("primes", "5"), "."),
@@ -523,6 +535,18 @@ def test_xiset_intersection():
     proc = run_cli("xiset", "{1} & {1}")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "xi_class 1"
+
+
+def test_xiset_sorts_the_union_once(monkeypatch):
+    # the components line and the atom lines come from one membership index,
+    # so each atom of the union gets one sort key per command
+    from heaviforge import xisets
+
+    keys, atom_key = [], xisets.atom_key
+    monkeypatch.setattr(xisets, "atom_key", lambda atom: keys.append(atom) or atom_key(atom))
+    code, out, _ = run_in_process(["xiset", "{1,2}||{3} | {4}||0 & {1,a}"])
+    assert (code, out) == (0, "xi_class 2\ncomponents {1} || 0\natom 1: mode=some T={1}\n")
+    assert keys == [1]
 
 
 def test_xiset_chain_reports_dangling_tail():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from heaviforge import cli
 from heaviforge.primes import (
+    MAX_COUNT_N,
     MAX_SIEVE_X,
     OutOfPlan,
     PrecisionPlan,
@@ -146,11 +147,12 @@ def test_pi_sieve_cap_is_the_one_its_docstring_states():
 
 
 @pytest.mark.parametrize("counts", [sigma0_counts, pi_sieve_counts])
-@pytest.mark.parametrize("n_max", [MAX_SIEVE_X + 1, 10**12])
+@pytest.mark.parametrize("n_max", [MAX_COUNT_N + 1, MAX_SIEVE_X + 1, 10**12])
 def test_sieve_counts_reject_n_max_above_the_cap_by_name(counts, n_max):
     # rejected before the sieve is allocated: 10**12 entries would not fit
-    assert "MAX_SIEVE_X = 10^8" in counts.__doc__
-    with pytest.raises(ValueError, match=f"n_max must be <= 100000000, got {n_max}$"):
+    assert MAX_COUNT_N == 10**6
+    assert "MAX_COUNT_N = 10^6" in counts.__doc__
+    with pytest.raises(ValueError, match=f"n_max must be <= 1000000, got {n_max}$"):
         counts(n_max)
 
 

@@ -355,3 +355,18 @@ def test_membership_index_equals_membership_atom_by_atom(x):
     for outside in (10**7, "outside"):  # longer than any generated name
         assert membership(outside, x).mode is MembershipMode.NONE
         assert outside not in [atom for atom, _, _ in rows]
+
+
+# atoms that compare equal across types (1, 1.0, True) are one atom of the
+# union; every component prints it as the text of the first one seen
+@pytest.mark.parametrize("x,text,index", [
+    (XiSet.of({True, "a"}, {1, 2}, {1.0}), "{True,a} || {True,2} || {True}",
+     [(True, [1, 2, 3], MembershipMode.ALL), (2, [2], MembershipMode.SOME), ("a", [1], MembershipMode.SOME)]),
+    (XiSet.of({1.0, "b"}, {True}), "{1.0,b} || {1.0}",
+     [(1.0, [1, 2], MembershipMode.ALL), ("b", [1], MembershipMode.SOME)]),
+])
+def test_equal_atoms_print_as_the_first_one_seen(x, text, index):
+    assert str(x) == text
+    rows = membership_index(x)
+    assert rows == index
+    assert [type(atom) for atom, _, _ in rows] == [type(atom) for atom, _, _ in index]

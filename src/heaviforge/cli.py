@@ -25,13 +25,16 @@ import functools
 import math
 import re
 import sys
+from itertools import repeat
 from typing import Sequence
 
 # The parser and eval/plot need only the closed-form core; primes, xiset,
 # grandi and table import their modules in the handler, so a start loads
 # what its subcommand runs.  (This module's docstring is --help's text.)
 from .cutoffs import DEFAULT_TOL, CutoffParams, QuadratureError
-from .stepfun import DEFAULT_CUTOFFS, FAMILY as _FUNCTIONS, snap  # CLI name -> evaluator fn(x, params)
+# CLI name -> evaluator fn(x, params), and -> the closed-form kernel fn(x, params)
+# that plot and table map over their grids
+from .stepfun import DEFAULT_CUTOFFS, FAMILY as _FUNCTIONS, _CLOSED, snap
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
@@ -151,13 +154,11 @@ def _cmd_eval(args, params: CutoffParams) -> Result:
 def _cmd_table(args, params: CutoffParams) -> Result:
     from .quadrature import eval_quadrature  # numpy, which only table needs
 
-    fn = _FUNCTIONS[args.function]
     xs = _grid(args.start, args.stop, args.step)
     quads = eval_quadrature(args.function, xs, params, args.tol)
     lines = ["x,raw,snapped,backend_delta"]
     over = []  # (backend_delta, x) of each row the two backends disagree on
-    for x, quad in zip(xs, quads):
-        raw = fn(x, params)
+    for x, raw, quad in zip(xs, map(_CLOSED[args.function], xs, repeat(params)), quads):
         delta = abs(quad.value - raw)
         if not delta <= args.tol + ROUNDING_ALLOWANCE * max(1.0, abs(raw)):
             over.append((delta, x))
@@ -217,9 +218,8 @@ def _render_svg(xs: list[float], ys: list[float], label: str) -> list[str]:
 
 
 def _cmd_plot(args, params: CutoffParams) -> Result:
-    fn = _FUNCTIONS[args.function]
     xs = _grid(args.start, args.stop, args.step)
-    ys = [fn(x, params) for x in xs]
+    ys = list(map(_CLOSED[args.function], xs, repeat(params)))
     if args.format == "csv":
         lines = ["x,raw"] + ["%.17g,%.17g" % xy for xy in zip(xs, ys)]  # _fmt's format, one % per row
         return lines, 0, None

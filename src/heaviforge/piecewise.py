@@ -23,7 +23,7 @@ from bisect import bisect_right
 from typing import Callable, Iterable
 
 from .cutoffs import CutoffParams, _Record
-from .stepfun import _h1
+from .stepfun import DEFAULT_CUTOFFS, _h1
 
 __all__ = [
     "InvalidInterval",
@@ -101,8 +101,8 @@ def impulse(x: float, a: float, b: float, params: CutoffParams | None = None) ->
     """
     if not a < b:
         raise InvalidInterval(f"impulse needs a < b, got a={a!r}, b={b!r}")
-    U = (params or CutoffParams()).indicator_scale_U
-    return _h1(x - a, U) - _h1(x - b, U)
+    params = params or DEFAULT_CUTOFFS
+    return _h1(x - a, params) - _h1(x - b, params)
 
 
 def compose(
@@ -117,20 +117,21 @@ def compose(
     callables are themselves reentrant).  For a single breakpoint the sum
     has no impulse terms at all and reduces to the two outer gates.
 
-    The evaluator folds the gates left to right: one ``_h1`` per breakpoint,
-    keeping only the previous gate.  Its terms are those of
-    :func:`partition_terms`, each times its branch, added in that order; it
-    builds no list of them, which is most of its speed.
+    The evaluator folds the gates left to right: one call of the H1 kernel
+    ``_h1`` per breakpoint, keeping only the previous gate.  Its terms are
+    those of :func:`partition_terms`, each times its branch, added in that
+    order; it builds no list of them, which is most of its speed.
     """
-    U = (params or default_cutoffs(spec)).indicator_scale_U
+    params = params or default_cutoffs(spec)
+    h1 = _h1  # a closure cell, read faster per gate than a global
     (bp0, *inner_bps), (branch0, *inner_branches, last) = spec.breakpoints, spec.branches
     inner = tuple(zip(inner_bps, inner_branches))
 
     def evaluator(x: float) -> float:
-        prev = _h1(x - bp0, U)
+        prev = h1(x - bp0, params)
         total = (1.0 - prev) * branch0(x)
         for bp, branch in inner:
-            h = _h1(x - bp, U)
+            h = h1(x - bp, params)
             total += (prev - h) * branch(x)
             prev = h
         total += prev * last(x)
@@ -156,8 +157,8 @@ def partition_terms(
     They telescope to 1 exactly; away from breakpoints exactly one of them
     snaps to 1 and the rest to 0.
     """
-    U = (params or default_cutoffs(spec)).indicator_scale_U
-    h = [_h1(x - bp, U) for bp in spec.breakpoints]
+    params = params or default_cutoffs(spec)
+    h = [_h1(x - bp, params) for bp in spec.breakpoints]
     n = len(h)
     terms = [1.0 - h[0]]
     terms += [h[i - 1] - h[i] for i in range(1, n)]

@@ -230,7 +230,7 @@ def prime_chain(plan: PrecisionPlan) -> tuple[list[float], list[float], list[flo
     # gates[j] = H1(n_max - 1 - j), offsets n_max - 1 down to -1; pi(n) pairs
     # flag i with gate n - i from j = n_max - n on, and min(n + 1, n_max)
     # terms in all, the cap of pi_analytic
-    gates = [_h1(float(k), U) for k in range(n_max - 1, -2, -1)]
+    gates = [_h1(float(k), params) for k in range(n_max - 1, -2, -1)]
     # every gate of offset >= K is exactly 1.0: K is read off the gates
     K = 1 + max((n_max - 1 - j for j, gate in enumerate(gates) if gate != 1.0), default=-1)
     prefix = [0.0, *itertools.accumulate(flags)]  # prefix[h] = flags[0] + ... + flags[h - 1]

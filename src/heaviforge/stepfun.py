@@ -13,11 +13,15 @@ value is a discrete limit:
     H1(x) = H2(x) + rt(x)/2       (step with value 1 at the origin)
     delta_T(x) = T e^{Tx}/(1+e^{Tx})^2 - 2 T x e^{-T x^2}  (nascent delta)
 
-``FAMILY`` is the one home of the function names: it maps each CLI name
-(``f c u q rt H1 H2 delta``) to its evaluator, and the public ``eval_*``
-names are bound from it.  Each evaluator supports two backends that must
-agree within tolerance: the closed form above, and adaptive quadrature of the
-defining integrand.  This module holds the closed forms only; the integrands
+The private ``_CLOSED`` table is the one home of the closed forms: it maps
+each CLI name (``f c u q rt H1 H2 delta``) to a flat kernel
+``kernel(x, params)`` that reads its scale once and calls only ``math``.
+``plot`` and ``table`` map these kernels over their grids, and
+``piecewise`` and ``primes`` call the H1 kernel ``_h1`` for their gates.
+``FAMILY`` maps each CLI name to its evaluator, built from that name's
+kernel, and the public ``eval_*`` names are bound from it.  Each evaluator supports two backends that must agree within
+tolerance: the closed form above, and adaptive quadrature of the defining
+integrand.  This module holds the closed forms only; the integrands
 and the row loop of the quadrature backend (``eval_quadrature``) live in
 :mod:`quadrature`, which the first quadrature-backend call imports, numpy
 with it.  The
@@ -35,7 +39,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import enum
-import math
+from math import exp, expm1, isfinite, isinf, tanh
 
 from .cutoffs import DEFAULT_TOL, CutoffParams
 
@@ -81,30 +85,58 @@ def snap(value: float, atol: float = 1e-9) -> float:
     return nearest if abs(value - nearest) <= atol else value
 
 
-# -- closed-form helpers: tanh is odd and 0 at 0, so oddness and origin values are exact --
+# -- closed-form kernels ------------------------------------------------------
+#
+# One flat kernel(x, params) per member, calling only math: the one home of the
+# formulas, collected in _CLOSED below.  The ramp 1/2 - 1/(1 + e^z) is written
+# 0.5 * tanh(0.5 * z), which does not cancel near 0 and is +-1/2 at +-inf;
+# tanh is odd and 0 at 0, so oddness and origin values are exact.
 
-def _ramp(z: float) -> float:
-    """1/2 - 1/(1 + e^z) = tanh(z/2)/2: no cancellation near 0, +-1/2 at +-inf."""
-    return 0.5 * math.tanh(0.5 * z)
+def _h1(x: float, params: CutoffParams) -> float:
+    """H2 = 1/2 + c(x), plus rt(x)/2; also the gate of ``piecewise`` and of
+    the prime chain."""
+    U = params.indicator_scale_U
+    return (0.5 + 0.5 * tanh(0.5 * (x * U))) + 0.5 * exp(-U * x * x)
 
 
-def _h1(x: float, U: float) -> float:
-    """Closed-form H1 at scale U: H2 = 1/2 + c(x), plus rt(x)/2."""
-    return (0.5 + _ramp(x * U)) + 0.5 * math.exp(-U * x * x)
+def _delta(x: float, params: CutoffParams) -> float:
+    """Finite at every x and T.  The logistic density e^z/(1 + e^z)^2 is
+    taken through a = e^{-|z|}, so it never overflows."""
+    T = params.half_line_T
+    a = exp(-abs(T * x))
+    density = T * (a / ((1.0 + a) * (1.0 + a)))
+    value = density - 2.0 * T * x * exp(-T * x * x)
+    if isfinite(value):
+        return value
+    if isinf(x):
+        return 0.0  # the limit of both terms; x e^{-T x^2} is inf * 0 here
+    # 2 T (or 2 T x) overflowed; x e^{-T x^2} first, T last stays finite,
+    # since 2 T x e^{-T x^2} peaks at sqrt(2 T / e)
+    return density - x * exp(-T * x * x) * 2.0 * T
 
 
-def _density(z: float) -> float:
-    """e^z / (1 + e^z)^2, evaluated through e^{-|z|} so it never overflows."""
-    a = math.exp(-abs(z))
-    return a / ((1.0 + a) * (1.0 + a))
+# CLI name -> closed-form kernel fn(x, params), params required; the twins
+# f/c and u/q differ only in the scale their kernel reads
+_CLOSED = {
+    "f": lambda x, p: 0.5 * tanh(0.5 * (x * p.half_line_T)),
+    "c": lambda x, p: 0.5 * tanh(0.5 * (x * p.indicator_scale_U)),
+    "u": lambda x, p: -expm1(-p.half_line_T * x * x),
+    "q": lambda x, p: -expm1(-p.indicator_scale_U * x * x),
+    "rt": lambda x, p: exp(-p.indicator_scale_U * x * x),
+    "H1": _h1,
+    "H2": lambda x, p: 0.5 + 0.5 * tanh(0.5 * (x * p.indicator_scale_U)),
+    "delta": _delta,
+}
 
 
 # -- evaluators --------------------------------------------------------------
 
-def _evaluator(name: str, closed, doc: str):
-    """The evaluator of the family member ``name``: ``closed(x, params)`` on
+def _evaluator(name: str, doc: str):
+    """The evaluator of the family member ``name``: its ``_CLOSED`` kernel on
     the closed-form backend, one row of ``quadrature.eval_quadrature`` on
     the quadrature backend."""
+    closed = _CLOSED[name]
+
     def evaluator(
         x: float,
         params: CutoffParams | None = None,
@@ -123,37 +155,16 @@ def _evaluator(name: str, closed, doc: str):
     return evaluator
 
 
-def _delta(x: float, params: CutoffParams) -> float:
-    """Closed-form nascent delta, finite at every x and T."""
-    T = params.half_line_T
-    if math.isinf(x):
-        return 0.0  # the limit of both terms; x e^{-T x^2} would be inf * 0
-    value = T * _density(T * x) - 2.0 * T * x * math.exp(-T * x * x)
-    if math.isfinite(value):
-        return value
-    # 2 T (or 2 T x) overflowed; x e^{-T x^2} first, T last stays finite,
-    # since 2 T x e^{-T x^2} peaks at sqrt(2 T / e)
-    return T * _density(T * x) - x * math.exp(-T * x * x) * 2.0 * T
-
-
-# CLI name -> evaluator fn(x, params=None, backend=CLOSED_FORM, tol=DEFAULT_TOL);
-# the twins f/c and u/q differ only in the scale their kernel reads
+# CLI name -> evaluator fn(x, params=None, backend=CLOSED_FORM, tol=DEFAULT_TOL)
 FAMILY = {
-    "f": _evaluator("f", lambda x, p: _ramp(x * p.half_line_T),
-                    "Odd ramp over the half-line: -1/2 for x<0, 0 at 0, +1/2 for x>0."),
-    "c": _evaluator("c", lambda x, p: _ramp(x * p.indicator_scale_U),
-                    "Tangent-interval twin of :func:`eval_f`; identical values when U = T."),
-    "u": _evaluator("u", lambda x, p: -math.expm1(-p.half_line_T * x * x),
-                    "Nonzero indicator over the half-line: 1 - e^{-T x^2}, in [0, 1)."),
-    "q": _evaluator("q", lambda x, p: -math.expm1(-p.indicator_scale_U * x * x),
-                    "Nonzero indicator over the tangent interval: 1 - e^{-U x^2}."),
-    "rt": _evaluator("rt", lambda x, p: math.exp(-p.indicator_scale_U * x * x),
-                     "Zero indicator rt(x) = 1 - q(x) = e^{-U x^2}, in (0, 1]; 1 iff x = 0."),
-    "H1": _evaluator("H1", lambda x, p: _h1(x, p.indicator_scale_U),
-                     "Unit step at scale U with value 1 at the origin: H2(x) + rt(x)/2."),
-    "H2": _evaluator("H2", lambda x, p: 0.5 + _ramp(x * p.indicator_scale_U),
-                     "Unit step at scale U with value 1/2 at the origin: c(x) + 1/2."),
-    "delta": _evaluator("delta", _delta, """Nascent delta at scale T.
+    "f": _evaluator("f", "Odd ramp over the half-line: -1/2 for x<0, 0 at 0, +1/2 for x>0."),
+    "c": _evaluator("c", "Tangent-interval twin of :func:`eval_f`; identical values when U = T."),
+    "u": _evaluator("u", "Nonzero indicator over the half-line: 1 - e^{-T x^2}, in [0, 1)."),
+    "q": _evaluator("q", "Nonzero indicator over the tangent interval: 1 - e^{-U x^2}."),
+    "rt": _evaluator("rt", "Zero indicator rt(x) = 1 - q(x) = e^{-U x^2}, in (0, 1]; 1 iff x = 0."),
+    "H1": _evaluator("H1", "Unit step at scale U with value 1 at the origin: H2(x) + rt(x)/2."),
+    "H2": _evaluator("H2", "Unit step at scale U with value 1/2 at the origin: c(x) + 1/2."),
+    "delta": _evaluator("delta", """Nascent delta at scale T.
 
     Closed form T e^{Tx}/(1+e^{Tx})^2 - 2 T x e^{-T x^2}: the logistic
     density term carries the unit mass and peaks at delta(0) = T/4 (finite

@@ -399,6 +399,147 @@ def test_plot_flat_range_at_the_largest_float(function, x):
     assert 60.0 <= px <= 660.0 and py == 240.0
 
 
+# x at the edges of the float range: signed zeros, the smallest subnormal,
+# and magnitudes where x * T or x * x underflows or overflows
+EDGE_XS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]
+
+
+def assert_plot_csv_is_the_evaluator(name, start, stop, step, T, U):
+    """Each ``plot --format csv`` row is x and ``FAMILY[name](x, params)``,
+    formatted by ``_fmt``: plot's kernel column has the evaluator's bits."""
+    argv = ["plot", name, repr(start), repr(stop), repr(step), "--T", repr(T), "--U", repr(U), "--format", "csv"]
+    code, out, err = run_in_process(argv)
+    assert code == 0, (argv, err)
+    params, evaluate = CutoffParams(half_line_T=T, indicator_scale_U=U), cli._FUNCTIONS[name]
+    rows = [f"{cli._fmt(x)},{cli._fmt(evaluate(x, params))}" for x in cli._grid(start, stop, step)]
+    assert out.split("\n") == ["x,raw", *rows, ""], argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(cli._FUNCTIONS)),
+    start=st.one_of(st.sampled_from(EDGE_XS), st.floats(-50.0, 50.0)),
+    step=st.floats(1e-3, 10.0),
+    rows=st.integers(1, 40),
+    T=st.floats(0.0, 1e300, exclude_min=True),
+    U=st.floats(1.0, 1e300, exclude_min=True),
+)
+@example(name="delta", start=-1e-300, step=1e-300, rows=3, T=1e308, U=128.0)  # 2 T x overflows
+def test_plot_csv_rows_are_the_evaluator_bit_for_bit(name, start, step, rows, T, U):
+    assert_plot_csv_is_the_evaluator(name, start, start + (rows - 1) * step, step, T, U)
+
+
+@pytest.mark.parametrize("name", sorted(cli._FUNCTIONS))
+def test_plot_csv_at_edge_floats_is_the_evaluator_bit_for_bit(name):
+    for T, U in ((100.0, 128.0), (1e300, 1e300), (1e308, 1.5), (5e-324, 1.0000000000000002)):
+        for x in EDGE_XS:
+            assert_plot_csv_is_the_evaluator(name, x, x, 1.0, T, U)
+
+
+def swap_family_for_plain_wrappers(monkeypatch) -> list:
+    """Swap each ``FAMILY`` evaluator, in every loaded heaviforge module and
+    module-level dict that holds it, for a pass-through wrapper with no
+    attributes of its own, as bench/tracer.py does.  Returns the list that
+    each wrapped call appends to."""
+    calls = []
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "heaviforge"]
+
+    def plain(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for original in list(cli._FUNCTIONS.values()):
+        wrapper = plain(original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+                elif type(value) is dict and not attr.startswith("__"):
+                    for key in [k for k, v in value.items() if v is original]:
+                        monkeypatch.setitem(value, key, wrapper)
+    return calls
+
+
+def test_stdout_is_the_same_under_the_tracers_wrappers(monkeypatch):
+    argvs = [
+        ["eval", "H1", "0"],
+        ["eval", "delta", "1e-300", "--T", "1e308"],
+        *(["plot", name, "-1", "1", "0.25", *fmt] for name in sorted(cli._FUNCTIONS)
+          for fmt in ([], ["--format", "csv"])),
+        ["table", "H1", "-1", "1", "0.5"],
+        ["table", "delta", "-0.5", "0.5", "0.25", "--T", "40"],
+    ]
+    before = [run_in_process(argv) for argv in argvs]
+    calls = swap_family_for_plain_wrappers(monkeypatch)
+    assert [run_in_process(argv) for argv in argvs] == before
+    assert calls  # eval went through the wrappers
+
+
+# the numbers an eval or plot argv draws from: signed zeros, the smallest
+# subnormal, both ends of the range, and text float() reads as non-finite
+ARGV_NUMBERS = ["0", "-0.0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e300", "-1e300",
+                "1.7976931348623157e308", "-1.7976931348623157e308", "1", "-1", "0.5", "inf", "nan", "1e309"]
+
+
+def _number(valid):
+    """A value in ``valid``'s range, or an edge number that may be refused."""
+    return st.one_of(valid.map(repr), st.sampled_from(ARGV_NUMBERS))
+
+
+# option -> its values; eval refuses --format and plot --snap-atol, and
+# --U with --eps is refused by both
+ARGV_OPTIONS = {
+    "--T": _number(st.floats(0.0, 1e300, exclude_min=True)),
+    "--U": _number(st.floats(1.0, 1e300, exclude_min=True)),
+    "--eps": _number(st.floats(0.0, 0.78, exclude_min=True)),
+    "--snap-atol": _number(st.floats(0.0, 1.0)),
+    "--format": st.sampled_from(["csv", "svg"]),
+}
+
+
+@st.composite
+def eval_plot_argv(draw):
+    command, name = draw(st.sampled_from(["eval", "plot"])), draw(st.sampled_from(sorted(cli._FUNCTIONS)))
+    if command == "eval":
+        argv = ["eval", name, draw(_number(st.floats(allow_nan=False, allow_infinity=False)))]
+    elif draw(st.integers(0, 2)):  # a grid of at most 200 rows
+        start, step, rows = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e3)), draw(st.integers(1, 200))
+        argv = ["plot", name, repr(start), repr(start + (rows - 1) * step), repr(step)]
+    else:  # edge numbers: most such grids are refused, or hold a few rows
+        argv = ["plot", name, *(draw(st.sampled_from(ARGV_NUMBERS)) for _ in range(3))]
+    for option in draw(st.lists(st.sampled_from(sorted(ARGV_OPTIONS)), unique=True, max_size=3)):
+        argv += [option, draw(ARGV_OPTIONS[option])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=eval_plot_argv())
+@example(argv=["plot", "H1", "-1", "1", "0.5"])
+@example(argv=["eval", "delta", "1e-300", "--T", "1e308"])
+@example(argv=["plot", "delta", "-1e-300", "1e-300", "1e-300", "--T", "1e308", "--format", "csv"])
+@example(argv=["plot", "rt", "-1e300", "1e300", "1e300", "--U", "1e300", "--format", "svg"])
+def test_eval_and_plot_argv_return_a_result_or_exit_2(argv):
+    code, out, err = run_in_process(argv)  # an exception other than SystemExit fails here
+    assert code in (0, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        return
+    if argv[0] == "eval":
+        assert re.fullmatch(rf"{argv[1]}\(\S+\) raw=\S+ snapped=\S+\ncutoffs T=\S+ eps=\S+ U=\S+ snap_atol=\S+\n", out)
+        return
+    rows = len(cli._grid(*map(float, argv[2:5])))
+    if "csv" in argv:
+        lines = out.split("\n")
+        assert lines[0] == "x,raw" and lines[-1] == ""
+        assert len(lines) == rows + 2 and all(line.count(",") == 1 for line in lines[1:-1])
+    else:
+        (points,) = re.findall(r'points="([^"]*)"', out)
+        assert len(points.split(" ")) == rows
+
+
 # ---------------------------------------------------------------------------
 # primes
 

@@ -99,9 +99,10 @@ def test_default_scale_tracks_breakpoint_gaps():
 @pytest.mark.parametrize("U", [1.5, 5.0, 21.0, 22.0, 50.0, 1e4])
 def test_both_gate_components_settle_within_the_transition_width(U):
     # below U = log(2e9) the logistic, not the Gaussian, is the slower term
-    d = transition_width(CutoffParams(indicator_scale_U=U))
-    assert abs(_h1(d, U) - 1.0) <= 1e-9
-    assert abs(_h1(-d, U)) <= 1e-9
+    params = CutoffParams(indicator_scale_U=U)
+    d = transition_width(params)
+    assert abs(_h1(d, params) - 1.0) <= 1e-9
+    assert abs(_h1(-d, params)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ def test_compose_is_the_gate_sum_bit_for_bit(case):
         h1 = eval_step(StepKind.H1, x, params)
         # H1 = H2 + rt/2, the formula written out, and the gate kernel
         assert same_bits(h1, eval_step(StepKind.H2, x, params) + 0.5 * eval_rt(x, params))
-        assert same_bits(h1, _h1(x, U))
+        assert same_bits(h1, _h1(x, params))
         a, b = spec.breakpoints[0], spec.breakpoints[0] + 1.0
         want = eval_step(StepKind.H1, x - a, params) - eval_step(StepKind.H1, x - b, params)
         assert same_bits(impulse(x, a, b, params), want)

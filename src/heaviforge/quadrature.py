@@ -47,7 +47,6 @@ calls ``eval_quadrature`` for its quadrature backend.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Sequence
 
@@ -137,19 +136,19 @@ def _check_tol(tol):
 # -- the refinement loop: a block of rows, or one row alone ------------------
 
 def _row_sums(values, starts, counts):
-    """Each row's ``values.sum()`` and ``values.max()``, where row i holds
-    the panels ``values[starts[i]:starts[i] + counts[i]]``.  ``sum(axis=1)``
-    over the rows of one panel count runs each row's own pairwise summation,
-    bit for bit; padding rows with zeros to one length would not."""
-    total, peak = np.empty(len(counts)), np.empty(len(counts))
+    """Each row's ``values.sum()``, where row i holds the panels
+    ``values[starts[i]:starts[i] + counts[i]]``.  ``sum(axis=1)`` over the
+    rows of one panel count runs each row's own pairwise summation, bit for
+    bit; padding rows with zeros to one length would not."""
+    total = np.empty(len(counts))
     for count in set(counts.tolist()):
         rows = np.flatnonzero(counts == count)
         if len(rows) * count == values.size:  # every row: a view, not a gather
             panels = values.reshape(len(rows), count)
         else:
             panels = values[starts[rows, None] + np.arange(count)]
-        total[rows], peak[rows] = panels.sum(axis=1), panels.max(axis=1)
-    return total, peak
+        total[rows] = panels.sum(axis=1)
+    return total
 
 
 def _wave(integrand_of, x, left, right, report, catch):
@@ -220,9 +219,9 @@ def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
     states = [None] * len(xs)
     x, left, right = np.array(xs, dtype=float), edges[:-1], edges[1:]
     k15, est, ok = _seed_wave(integrand_of, x, left, right, report, catch)
-    rows = np.flatnonzero(ok)
+    rows, seed = np.flatnonzero(ok), left.size
     x, k15, est = x[rows], k15[rows].ravel(), est[rows].ravel()
-    counts, evals = np.full(len(rows), left.size), np.full(len(rows), left.size * _GK_NODES.size)
+    counts = np.full(len(rows), seed)
     left, right = np.tile(left, len(rows)), np.tile(right, len(rows))
     while len(rows):
         # not np.cumsum, which raised a 100,001-row table's peak memory 3-5 MB
@@ -230,18 +229,19 @@ def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
         owner = np.repeat(np.arange(len(rows)), counts)
         try:
             with np.errstate(**report):
-                total, peak = _row_sums(est, starts, counts)
+                total = _row_sums(est, starts, counts)
                 finite = np.isfinite(total)
                 for r in rows[~finite].tolist():
                     states[r] = NonFiniteIntegrand(_NON_FINITE)
                 done = total <= tol
-                split = est >= (peak / _SPLIT_FACTOR)[owner]
+                split = est >= (np.maximum.reduceat(est, starts) / _SPLIT_FACTOR)[owner]
                 at = np.flatnonzero(split)  # the width floor of these panels only
                 floor = 8.0 * np.finfo(float).eps * np.maximum(np.abs(left[at]), np.abs(right[at]))
                 split[at] = right[at] - left[at] > floor
                 more = np.bincount(owner[split], minlength=len(rows))
+                evals = 15 * (2 * counts - seed)  # a split: one more panel, two panels' 15 points
                 stop = finite & (done | (more == 0) | (evals + 30 * more > DEFAULT_EVAL_BUDGET))
-                value, _ = _row_sums(k15, starts[stop], counts[stop])
+                value = _row_sums(k15, starts[stop], counts[stop])
                 for r, v, e, n, ok in zip(rows[stop].tolist(), value.tolist(), total[stop].tolist(),
                                           evals[stop].tolist(), done[stop].tolist()):
                     best = QuadratureResult(v, e, n)
@@ -261,7 +261,7 @@ def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
         go[new_owner[~ok]] = False
         left, right, k15, est = _split_panels(cut, go[owner], (left, right, k15, est),
                                               (new_left, new_right, new_k15, new_est))
-        rows, x, counts, evals = rows[go], x[go], (counts + more)[go], (evals + 30 * more)[go]
+        rows, x, counts = rows[go], x[go], (counts + more)[go]
     return states
 
 
@@ -276,30 +276,23 @@ def _split_panels(cut, keep, old, new):
     return [np.concatenate(pair)[source] for pair in zip(old, new)]
 
 
-def _read_only(edges: list[float]) -> np.ndarray:
-    edges = np.array(edges)
-    edges.flags.writeable = False  # cached: one array serves every call
-    return edges
-
-
-@functools.lru_cache(maxsize=64)
 def _half_line_edges(T: float) -> np.ndarray:
     # Seed panels shrinking geometrically toward t = 0, where the half-line
     # integrands concentrate their mass once the outer scale x grows.
-    return _read_only([0.0] + [T * 2.0 ** (-k) for k in range(45, -1, -1)])
+    return np.array([0.0] + [T * 2.0 ** (-k) for k in range(45, -1, -1)])
 
 
-@functools.lru_cache(maxsize=64)
 def _tan_edges(upper: float) -> np.ndarray:
     # Seed panels shrinking geometrically toward the singular endpoint
     # pi/2 - eps; under u = tan t each panel then spans a bounded factor in
     # u, which keeps sec^2-type growth resolvable.
-    return _read_only([upper - upper * 2.0 ** (-k) for k in range(0, 51)] + [upper])
+    return np.array([upper - upper * 2.0 ** (-k) for k in range(0, 51)] + [upper])
 
 
-def _one_row(integrand, edges, tol, seed_wave):
+def _one_row(integrand, seed_edges, tol, seed_wave):
     """An ``integrate_*`` call: the outcome that ``eval_quadrature``'s block
-    hands it as ``seed_wave``, or on None the block's loop on this one row."""
+    hands it as ``seed_wave``, or on None the block's loop on this one row
+    from the edges ``seed_edges()`` builds."""
     _check_tol(tol)
     if seed_wave is None:
         def row(t):
@@ -308,7 +301,7 @@ def _one_row(integrand, edges, tol, seed_wave):
             if not np.isfinite(vals).all():
                 raise NonFiniteIntegrand(_NON_FINITE)
             return np.broadcast_to(vals, t.size).reshape(t.shape)
-        (seed_wave,) = _block_states(lambda _x: row, [0.0], edges, tol, alone=True)
+        (seed_wave,) = _block_states(lambda _x: row, [0.0], seed_edges(), tol, alone=True)
     if isinstance(seed_wave, QuadratureResult):
         return seed_wave
     if isinstance(seed_wave, QuadratureError):
@@ -338,7 +331,7 @@ def integrate_half_line(
     tracer of these calls counts (see the module docstring).
     """
     params = params or CutoffParams()
-    return _one_row(integrand, _half_line_edges(params.half_line_T), tol, seed_wave)
+    return _one_row(integrand, lambda: _half_line_edges(params.half_line_T), tol, seed_wave)
 
 
 def integrate_tan_interval(
@@ -355,7 +348,7 @@ def integrate_tan_interval(
     ``seed_wave`` is as in :func:`integrate_half_line`.
     """
     params = params or CutoffParams()
-    return _one_row(integrand, _tan_edges(params.tan_interval_upper), tol, seed_wave)
+    return _one_row(integrand, lambda: _tan_edges(params.tan_interval_upper), tol, seed_wave)
 
 
 def integrate_interval(
@@ -372,7 +365,7 @@ def integrate_interval(
     """
     if not (lower < upper and math.isfinite(upper - lower)):  # a finite span: finite bounds too
         raise ValueError(f"need finite lower < upper with a finite span, got [{lower!r}, {upper!r}]")
-    return _one_row(integrand, np.linspace(lower, upper, 17), tol, None)
+    return _one_row(integrand, lambda: np.linspace(lower, upper, 17), tol, None)
 
 
 # -- integrands of the step-function family (see ``stepfun``) ----------------
@@ -457,8 +450,11 @@ def eval_quadrature(
     each row makes one ``integrate_*`` call, handed its block's outcome for
     it; a row's result does not depend on its block: it equals the scalar
     ``eval_*(x, params, Backend.QUADRATURE, tol)`` bit for bit.  The first
-    failing row, in row order, raises its :class:`QuadratureError`.
+    failing row, in row order, raises its :class:`QuadratureError`; an
+    unknown ``name`` raises ``ValueError``.
     """
+    if name not in _QUADRATURE:
+        raise ValueError(f"unknown function {name!r}; expected one of {', '.join(_QUADRATURE)}")
     on_half_line, integrand_of, finish = _QUADRATURE[name]
     params = params or CutoffParams()
     if on_half_line:

@@ -7,14 +7,18 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heaviforge import cli
-from heaviforge.cutoffs import CutoffParams
+from heaviforge.cutoffs import CutoffParams, QuadratureResult
+from heaviforge.xisets import MAX_GRANDI_TERMS
 from test_golden import CASES as GOLDEN_CASES
+from test_setexpr import texts as xiset_texts
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SRC = os.path.join(ROOT, "src")
@@ -475,6 +479,23 @@ def test_stdout_is_the_same_under_the_tracers_wrappers(monkeypatch):
     calls = swap_family_for_plain_wrappers(monkeypatch)
     assert [run_in_process(argv) for argv in argvs] == before
     assert calls  # eval went through the wrappers
+    # the tracer counts table's rows through the integrate_* calls, which
+    # eval_quadrature looks up at call time: one per row, handed its outcome
+    from heaviforge import quadrature
+
+    handed = []
+    for name in ("integrate_half_line", "integrate_tan_interval"):
+        def wrapper(*args, _name=name, _fn=getattr(quadrature, name), **kwargs):
+            handed.append((_name, kwargs.get("seed_wave")))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(quadrature, name, wrapper)
+    for argv, out in zip(argvs, before):
+        if argv[0] == "table":
+            handed.clear()
+            assert run_in_process(argv) == out
+            integrator = "integrate_half_line" if argv[1] == "delta" else "integrate_tan_interval"
+            assert len(handed) == len(cli._grid(*map(float, argv[2:5])))
+            assert all(name == integrator and type(state) is QuadratureResult for name, state in handed)
 
 
 # the numbers an eval or plot argv draws from: signed zeros, the smallest
@@ -749,3 +770,90 @@ def test_grandi_odd():
 
 def test_grandi_rejects_zero():
     assert run_cli("grandi", "0").returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# table / xiset / grandi argv
+
+# table's options: eval and plot's, with --tol for --format
+TABLE_OPTIONS = {**{option: values for option, values in ARGV_OPTIONS.items() if option != "--format"},
+                 "--tol": _number(st.floats(0.0, 1e-3, exclude_min=True))}
+
+
+# xiset text from the grammar: set literals of small atoms, || between
+# components, the three operators and parentheses, or a chain
+XISET_LITERALS = st.one_of(st.just("0"), st.lists(st.sampled_from(["0", "1", "2", "7", "42", "a", "b_2"]),
+                                                  max_size=4).map(lambda atoms: "{" + ",".join(atoms) + "}"))
+XISET_EXPRESSIONS = st.recursive(
+    st.lists(XISET_LITERALS, min_size=1, max_size=4).map("||".join),
+    lambda inner: st.one_of(st.tuples(inner, st.sampled_from([" & ", " | ", " \\ "]), inner).map("".join),
+                            inner.map("({})".format)),
+    max_leaves=6)
+XISET_CHAINS = st.tuples(XISET_LITERALS, XISET_LITERALS, st.integers(0, 10**12),
+                         st.sampled_from(["aligned", "shifted"])).map(lambda parts: "chain {} {} {} {}".format(*parts))
+
+
+@st.composite
+def table_xiset_grandi_argv(draw):
+    command = draw(st.sampled_from(["table", "xiset", "grandi"]))
+    if command == "xiset":  # one argument, or the text split into several, which xiset joins
+        text = draw(st.one_of(XISET_EXPRESSIONS, XISET_CHAINS, xiset_texts()))
+        return ["xiset", *(text.split() if draw(st.booleans()) else [text])]
+    if command == "grandi":
+        return ["grandi", draw(st.one_of(st.integers(-3, 2_000).map(str), st.sampled_from(["", "x", "1.5", "1e3"])))]
+    name = draw(st.sampled_from(sorted(cli._FUNCTIONS)))
+    if draw(st.integers(0, 2)):  # a grid of at most 20 rows
+        start, step, rows = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e3)), draw(st.integers(1, 20))
+        argv = ["table", name, repr(start), repr(start + (rows - 1) * step), repr(step)]
+    else:  # edge numbers: most such grids are refused, or hold a few rows
+        argv = ["table", name, *(draw(st.sampled_from(ARGV_NUMBERS)) for _ in range(3))]
+    for option in draw(st.lists(st.sampled_from(sorted(TABLE_OPTIONS)), unique=True, max_size=3)):
+        argv += [option, draw(TABLE_OPTIONS[option])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=table_xiset_grandi_argv())
+@example(argv=["table", "q", "10", "100", "10"])  # rows over the bound
+@example(argv=["table", "u", "-1e200", "1e200", "1e199"])  # NaN integrand, after a warning
+@example(argv=["table", "H1", "-1", "1", "0.5", "--tol", "5e-324"])  # out of budget
+@example(argv=["xiset", "chain", "{1}", "{2}", "100000000000", "aligned"])
+@example(argv=["grandi", "-1"])
+@example(argv=["grandi", "0"])
+@example(argv=["grandi", "1"])
+@example(argv=["grandi", "2"])
+@example(argv=["grandi", str(MAX_GRANDI_TERMS - 1)])
+@example(argv=["grandi", str(MAX_GRANDI_TERMS)])
+@example(argv=["grandi", str(MAX_GRANDI_TERMS + 1)])
+def test_table_xiset_and_grandi_argv_return_a_result_or_exit_1_or_2(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # table's integrands warn, as a fresh process prints on stderr
+        code, out, err = run_in_process(argv)  # an exception other than SystemExit fails here
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    assert all(w.category is RuntimeWarning for w in caught) and (not caught or argv[0] == "table")
+    if code == 2:
+        assert out == ""
+        return
+    if argv[0] == "grandi":
+        assert (code, err) == (0, "")
+        k = int(argv[1])
+        sums, mean = out.split("\n")[:2]
+        assert sums == "partial_sums " + ",".join("10"[n % 2] for n in range(k))
+        assert mean.startswith("cesaro_mean ") and Fraction(mean.split()[1]) == Fraction((k + 1) // 2, k)
+        return
+    if argv[0] == "xiset":
+        assert (code, err) == (0, "")
+        assert re.match(r"xi_class \d+\ncomponents |result \S+\nstrategy ", out)
+        return
+    rows = len(cli._grid(*map(float, argv[2:5])))
+    if code == 1 and err.startswith("heaviforge: quadrature failure: "):
+        assert out == "" and err.count("\n") == 1
+        return
+    lines = out.split("\n")
+    assert lines[0] == "x,raw,snapped,backend_delta" and lines[-1] == ""
+    assert len(lines) == rows + 2 and all(line.count(",") == 3 for line in lines[1:-1])
+    if code == 1:
+        assert re.fullmatch(rf"table {argv[1]} tol=\S+ mismatches=[1-9]\d* of {rows} max_backend_delta=\S+ at x=\S+\n", err)
+    else:
+        assert err == ""

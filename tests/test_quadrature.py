@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from heaviforge import quadrature
 from heaviforge.quadrature import (
     DEFAULT_EVAL_BUDGET,
     CutoffParams,
@@ -16,6 +17,7 @@ from heaviforge.quadrature import (
     _gk_sums,
     _half_line_edges,
     _row_sums,
+    eval_quadrature,
     integrate_half_line,
     integrate_interval,
     integrate_tan_interval,
@@ -260,6 +262,32 @@ def test_handed_over_seed_wave_gives_the_same_result():
         assert _block_states(lambda x: (lambda t: np.sqrt(x - t)), [100.0, 1.0], edges, 1e-9) == [None, None]
 
 
+def test_seed_edges_are_built_once_per_column_and_never_for_a_handed_over_row(monkeypatch):
+    built = []
+    for name in ("_half_line_edges", "_tan_edges"):
+        edges_of = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name, lambda bound, edges_of=edges_of: built.append(bound) or edges_of(bound))
+    params = CutoffParams(half_line_T=30.0)
+    for name, bound in (("f", 30.0), ("H1", params.tan_interval_upper)):
+        results = eval_quadrature(name, [0.5 * k for k in range(300)], params)  # two blocks
+        assert built == [bound] and len(results) == 300
+        built.clear()
+    f = lambda t: np.exp(-t)
+    state = integrate_half_line(f, params)
+    integrate_tan_interval(f)
+    assert built == [30.0, CutoffParams().tan_interval_upper]
+    assert integrate_half_line(f, params, seed_wave=state) is state
+    with pytest.raises(ValueError, match="seed_wave"):
+        integrate_tan_interval(f, seed_wave=0.5)
+    assert len(built) == 2
+
+
+def test_eval_quadrature_rejects_an_unknown_name():
+    names = "f, c, u, q, rt, H2, H1, delta"
+    with pytest.raises(ValueError, match=f"^unknown function 'nope'; expected one of {names}$"):
+        eval_quadrature("nope", [1.0])
+
+
 def test_a_panels_gk_sums_do_not_depend_on_the_panels_beside_it():
     # a BLAS matrix-vector product gives some panels other sums in another
     # row of a larger matrix; the sums of a seed chunk (rows, panels, 15), of
@@ -286,10 +314,9 @@ def test_row_sums_equal_each_rows_own_sum():
     counts = rng.integers(46, 140, 200)
     starts = np.cumsum(counts) - counts
     values = rng.standard_normal(counts.sum()) * 10.0 ** rng.uniform(-15.0, 0.0, counts.sum())
-    total, peak = _row_sums(values, starts, counts)
+    total = _row_sums(values, starts, counts)
     rows = [values[start:start + count] for start, count in zip(starts, counts)]
     assert total.tolist() == [row.sum() for row in rows]
-    assert peak.tolist() == [row.max() for row in rows]
 
 
 def test_interval_helper():

@@ -129,10 +129,13 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
         raise ValueError(f"grid step must be positive, got {step!r}")
     if start == stop:
         return [start]
-    span = (stop - start) / step + 1e-9
+    wide = math.isinf(stop - start)  # ends so far apart that their difference overflows
+    span = (stop / step - start / step if wide else (stop - start) / step) + 1e-9
     if not span < MAX_GRID_ROWS:  # "not <" also refuses an overflowed, infinite span
         raise ValueError(f"grid has more than {MAX_GRID_ROWS} rows; use a larger step")
     count = int(math.floor(span)) + 1
+    if wide:  # k * step can overflow too; halving is exact at this size
+        return [2.0 * (0.5 * start + k * (0.5 * step)) for k in range(count)]
     return [start + k * step for k in range(count)]
 
 
@@ -188,15 +191,18 @@ def _axis_range(values: list[float]) -> tuple[float, float]:
 def _render_svg(xs: list[float], ys: list[float], label: str) -> list[str]:
     width, height, margin = 720.0, 480.0, 60.0
     (x_lo, x_hi), (y_lo, y_hi) = _axis_range(xs), _axis_range(ys)
+    placed, p_lo, p_hi = xs, x_lo, x_hi
+    if math.isinf(x_hi - x_lo):  # a grid whose span overflows is placed by its halves, exactly
+        placed, p_lo, p_hi = [0.5 * x for x in xs], 0.5 * x_lo, 0.5 * x_hi
 
     # spans hoisted out of the loop; each point takes the operations of
     # margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin), in order,
     # and of its y twin measured down from height - margin
-    x_span, x_room = x_hi - x_lo, width - 2 * margin
+    x_span, x_room = p_hi - p_lo, width - 2 * margin
     y_span, y_room, y_base = y_hi - y_lo, height - 2 * margin, height - margin
     points = " ".join([
-        "%.2f,%.2f" % (margin + (x - x_lo) / x_span * x_room, y_base - (y - y_lo) / y_span * y_room)
-        for x, y in zip(xs, ys)
+        "%.2f,%.2f" % (margin + (x - p_lo) / x_span * x_room, y_base - (y - y_lo) / y_span * y_room)
+        for x, y in zip(placed, ys)
     ])
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '

@@ -43,11 +43,12 @@ class InvalidInterval(ValueError):
 
 
 class InvalidSpec(ValueError):
-    """Breakpoints not strictly increasing, or branch count mismatch."""
+    """Breakpoints not finite or not strictly increasing, or branch count
+    mismatch."""
 
 
 class PiecewiseSpec(_Record):
-    """Breakpoints x1 < ... < xn plus the n+1 branch functions."""
+    """Finite breakpoints x1 < ... < xn plus the n+1 branch functions."""
 
     _compare, _repr = ("breakpoints", "branches"), ("breakpoints",)
 
@@ -56,6 +57,8 @@ class PiecewiseSpec(_Record):
         brs = tuple(branches)
         if len(bps) < 1:
             raise InvalidSpec("need at least one breakpoint")
+        if not all(map(math.isfinite, bps)):  # NaN would pass the order check below
+            raise InvalidSpec(f"breakpoints must be finite: {bps}")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise InvalidSpec(f"breakpoints must be strictly increasing: {bps}")
         if len(brs) != len(bps) + 1:

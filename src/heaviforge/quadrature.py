@@ -20,8 +20,10 @@ scalar function).
 ``eval_quadrature`` integrates one integrand per x over many x, a block of
 rows at a time (``_block_states``).  The rows refine together, wave by
 wave, the seed wave first, and one rule at the top of every wave decides
-each row's outcome.  That is the only refinement loop: an ``integrate_*``
-call runs it on its one row.  Each row of a block still makes its own
+each row's outcome.  One routine, ``_wave``, evaluates every wave: the
+seed wave's panels are shared by every row, each later wave's panels are
+one per x.  That is the only refinement loop: an ``integrate_*`` call runs
+it on its one row.  Each row of a block still makes its own
 ``integrate_*`` call, so that a tracer of those calls counts rows, and
 hands it, as ``seed_wave``, the row's result or failure, or None where the
 block dropped the row, which then evaluates alone from its seed wave.  A
@@ -90,10 +92,11 @@ _GAUSS_WEIGHTS[1::2] = [
 ]
 
 _SPLIT_FACTOR = 16.0  # split every panel within this factor of the worst one
-# Integrand points per call: a chunk of rows of a seed wave (16 rows of the
-# 46 half-line seed panels) or a slice of a refinement wave's panels.  It
-# bounds the (rows x points) temporaries.  Twice this was no faster on a
-# table and raised its peak memory; half was slower.
+# Integrand points per call of _wave: a chunk of a seed wave's rows (16
+# rows of the 46 half-line seed panels, 15 of the 51 tangent ones) or a
+# slice of a refinement wave's panels, one per x.  It bounds the (rows x
+# points) temporaries.  Twice this was no faster on a table and raised its
+# peak memory; half was slower.
 _CHUNK_POINTS = 11_520
 _SLICE_PANELS = _CHUNK_POINTS // _GK_NODES.size
 # Rows that eval_quadrature refines together, a whole number of seed chunks
@@ -105,11 +108,11 @@ _BLOCK_ROWS = 240
 
 
 def _gk_points(left, right):
-    """The GK15 abscissae of each panel, shape (panels, 15), and the panels'
-    half-widths."""
+    """The GK15 abscissae of each panel, shape (*left.shape, 15), and the
+    panels' half-widths."""
     half = 0.5 * (right - left)
     center = 0.5 * right + 0.5 * left  # right + left can overflow
-    return center[:, None] + half[:, None] * _GK_NODES[None, :], half
+    return center[..., None] + half[..., None] * _GK_NODES, half
 
 
 def _gk_sums(vals, half):
@@ -152,38 +155,25 @@ def _row_sums(values, starts, counts):
 
 
 def _wave(integrand_of, x, left, right, report, catch):
-    """GK15 on each panel [left[i], right[i]] of the integrand at x[i], one
-    integrand call per slice of ``_SLICE_PANELS`` panels: (k15, est, ok).
-    ``ok`` is False on every panel of a slice whose call raised ``catch``, a
-    floating-point error under ``report``."""
-    k15, est, ok = np.empty(len(left)), np.empty(len(left)), np.ones(len(left), bool)
-    for lo in range(0, len(left), _SLICE_PANELS):
-        part = slice(lo, lo + _SLICE_PANELS)
-        try:
-            with np.errstate(**report):
-                pts, half = _gk_points(left[part], right[part])
-                k15[part], est[part] = _gk_sums(integrand_of(x[part, None])(pts), half)
-        except catch:
-            ok[part] = False
-    return k15, est, ok
-
-
-def _seed_wave(integrand_of, x, left, right, report, catch):
-    """GK15 on the seed panels [left, right] of the integrand at each x, one
-    integrand call per chunk of rows, which broadcasts the chunk's column of
-    x against the panels' shared abscissae: (k15, est), shape (rows,
-    panels), and ``ok``, False on every row of a chunk whose call raised
-    ``catch``, a floating-point error under ``report``."""
-    pts, half = _gk_points(left, right)
-    k15, est, ok = np.empty((len(x), left.size)), np.empty((len(x), left.size)), np.ones(len(x), bool)
-    chunk = max(1, _CHUNK_POINTS // pts.size)
+    """GK15 on the panels [left, right] of the integrand at each x: (k15,
+    est), shape (len(x), panels per x), and ``ok``, False on every x of a
+    chunk whose integrand call raised ``catch``, a floating-point error under
+    ``report``.  A chunk is one integrand call on about ``_CHUNK_POINTS``
+    points.  On the seed wave ``left`` and ``right`` have shape (1, P),
+    panels that every x shares: each chunk's column of x broadcasts against
+    their one row of 15 P abscissae, computed once for the wave.  On a
+    refinement wave they have shape (len(x), 1), one panel per x."""
+    panels = left.shape[1]
+    k15, est, ok = np.empty((len(x), panels)), np.empty((len(x), panels)), np.ones(len(x), bool)
+    chunk = max(1, _CHUNK_POINTS // (15 * panels))
+    shared = _gk_points(left, right) if len(left) == 1 else None
     for lo in range(0, len(x), chunk):
         part = slice(lo, lo + chunk)
-        column = x[part, None]
         try:
             with np.errstate(**report):
-                vals = integrand_of(column)(pts.ravel()).reshape(len(column), *pts.shape)
-                k15[part], est[part] = _gk_sums(vals, half)
+                pts, half = shared or _gk_points(left[part], right[part])
+                vals = integrand_of(x[part, None])(pts.reshape(len(pts), -1))
+                k15[part], est[part] = _gk_sums(vals.reshape(-1, panels, 15), half)
         except catch:
             ok[part] = False
     return k15, est, ok
@@ -194,10 +184,10 @@ def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
     :class:`QuadratureError`, or None where the block dropped the row.
 
     The rows refine together, wave by wave, each row's panels contiguous
-    and sorted by left edge.  The first wave is the seed wave, one
-    integrand call per chunk of rows on the seed panels; every later wave
-    evaluates the rows' split panels with one integrand call per slice of
-    panels.  At the top of each wave one rule decides every row, as its own
+    and sorted by left edge.  ``_wave`` evaluates each wave: the seed
+    wave on the seed panels, shape (1, P), which every row shares, and
+    every later wave on the rows' split panels, shape (panels, 1), one x
+    each.  At the top of each wave one rule decides every row, as its own
     call would: ``NonFiniteIntegrand`` where its total error estimate is
     not finite, as it is wherever a value is not; its result where that
     total is within ``tol``; ``ToleranceNotReached`` where no panel can
@@ -218,7 +208,7 @@ def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
         catch, cap = FloatingPointError, _SLICE_PANELS
     states = [None] * len(xs)
     x, left, right = np.array(xs, dtype=float), edges[:-1], edges[1:]
-    k15, est, ok = _seed_wave(integrand_of, x, left, right, report, catch)
+    k15, est, ok = _wave(integrand_of, x, left[None], right[None], report, catch)
     rows, seed = np.flatnonzero(ok), left.size
     x, k15, est = x[rows], k15[rows].ravel(), est[rows].ravel()
     counts = np.full(len(rows), seed)
@@ -257,10 +247,11 @@ def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
         new_left = np.column_stack((left[cut], mid)).ravel()
         new_right = np.column_stack((mid, right[cut])).ravel()
         new_owner = np.repeat(owner[cut], 2)
-        new_k15, new_est, ok = _wave(integrand_of, x[new_owner], new_left, new_right, report, catch)
+        new_k15, new_est, ok = _wave(integrand_of, x[new_owner], new_left[:, None], new_right[:, None],
+                                     report, catch)
         go[new_owner[~ok]] = False
         left, right, k15, est = _split_panels(cut, go[owner], (left, right, k15, est),
-                                              (new_left, new_right, new_k15, new_est))
+                                              (new_left, new_right, new_k15.ravel(), new_est.ravel()))
         rows, x, counts = rows[go], x[go], (counts + more)[go]
     return states
 
@@ -376,9 +367,10 @@ def _density_np(z):
 
 
 # Each factory takes x as a float, or as a column of shape (rows, 1); its
-# integrand maps t to values of shape (len(t),), or (rows, len(t)).  A
-# refinement wave passes one x per panel, shape (panels, 1), with t of
-# shape (panels, 15).
+# integrand maps t to values of the shape that t and x broadcast to.  A
+# seed wave passes a chunk's column of x with t of shape (1, 15 P), the
+# abscissae of the P seed panels that every row shares; a refinement wave
+# passes one x per panel, shape (panels, 1), with t of shape (panels, 15).
 
 def _f_integrand(x):
     return lambda t: x * _density_np(x * t)

@@ -293,6 +293,20 @@ def test_table_rejects_bad_grids():
     assert run_cli("table", "H1", "0", "1", "0").returncode == 2
 
 
+def test_grid_whose_span_overflows_is_the_grid_of_its_halves_doubled():
+    # stop - start is inf; the halved grid, -5e307 to 5e307 by 5e307, has
+    # three finite rows, and so does the grid, once doubled
+    proc = run_cli("plot", "f", "-1e308", "1e308", "1e308", "--format", "csv")
+    assert proc.returncode == 0
+    assert [line.split(",")[0] for line in proc.stdout.splitlines()] == ["x", "-1e+308", "0", "1e+308"]
+    # and the SVG places them by their halves, whose span is finite
+    proc = run_cli("plot", "f", "-1e308", "1e308", "1e308")
+    assert re.findall(r'points="([^"]*)"', proc.stdout) == ["60.00,420.00 360.00,240.00 660.00,60.00"]
+    # a finite span whose quotient overflows is still refused
+    proc = run_cli("table", "H1", "-1", "1", "5e-324")
+    assert proc.returncode == 2 and "more than 1000000 rows" in proc.stderr
+
+
 def _cap_memory():
     # should the row cap regress, fail fast instead of filling the machine
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -559,6 +573,7 @@ def test_eval_and_plot_argv_return_a_result_or_exit_2(argv):
     else:
         (points,) = re.findall(r'points="([^"]*)"', out)
         assert len(points.split(" ")) == rows
+        assert re.fullmatch(r"-?\d+\.\d\d,-?\d+\.\d\d( -?\d+\.\d\d,-?\d+\.\d\d)*", points), argv  # no nan or inf
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,39 @@ def test_seed_edges_are_built_once_per_column_and_never_for_a_handed_over_row(mo
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("on_half_line,integrand_of,seed_rows", [
+    (True, quadrature._f_integrand, 16),
+    (False, quadrature._c_integrand, 15),
+])
+def test_seed_wave_calls_share_one_row_of_abscissae(on_half_line, integrand_of, seed_rows, monkeypatch):
+    # a seed chunk broadcasts its column of x against the seed panels' one
+    # row of 15 P abscissae: a copy of them per row would run np.tan once
+    # per row, not once per chunk; a refinement call covers one slice
+    params = CutoffParams()
+    edges = _half_line_edges(params.half_line_T) if on_half_line else quadrature._tan_edges(params.tan_interval_upper)
+    seed_nodes = quadrature._gk_points(edges[:-1], edges[1:])[0]
+    calls = []  # (shape of x, shape of t, whether every t is a seed node) per integrand call
+
+    def recording(x):
+        integrand = integrand_of(x)
+
+        def g(t):
+            calls.append((np.shape(x), np.shape(t), bool(np.isin(t, seed_nodes).all())))
+            return integrand(t)
+        return g
+
+    monkeypatch.setitem(quadrature._QUADRATURE, "probe", (on_half_line, recording, None))
+    xs = [-8.0 + 0.05 * k for k in range(321)]  # two blocks, every row refining at this tol
+    eval_quadrature("probe", xs, params, 1e-12)
+    seed = [(x_shape, t_shape) for x_shape, t_shape, on_seed in calls if on_seed]
+    waves = [(x_shape, t_shape) for x_shape, t_shape, on_seed in calls if not on_seed]
+    assert all(t_shape == (1, 15 * (len(edges) - 1)) for _, t_shape in seed)
+    assert all(x_shape[1:] == (1,) and x_shape[0] <= seed_rows for x_shape, _ in seed)
+    assert sum(x_shape[0] for x_shape, _ in seed) == len(xs)
+    assert all(t_shape == (x_shape[0], 15) and x_shape[0] <= quadrature._SLICE_PANELS for x_shape, t_shape in waves)
+    assert max(x_shape[0] for x_shape, _ in waves) == quadrature._SLICE_PANELS
+
+
 def test_eval_quadrature_rejects_an_unknown_name():
     names = "f, c, u, q, rt, H2, H1, delta"
     with pytest.raises(ValueError, match=f"^unknown function 'nope'; expected one of {names}$"):

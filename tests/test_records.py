@@ -139,6 +139,10 @@ def test_records_take_their_fields_by_position_and_by_name():
     (lambda: PiecewiseSpec((), (abs,)), InvalidSpec, "need at least one breakpoint"),
     (lambda: PiecewiseSpec((1.0, 1.0), (abs,) * 3), InvalidSpec,
      "breakpoints must be strictly increasing: (1.0, 1.0)"),
+    (lambda: PiecewiseSpec((0.0, math.nan), (abs,) * 3), InvalidSpec, "breakpoints must be finite: (0.0, nan)"),
+    (lambda: PiecewiseSpec((math.nan,), (abs,) * 2), InvalidSpec, "breakpoints must be finite: (nan,)"),
+    (lambda: PiecewiseSpec((0.0, math.inf), (abs,) * 3), InvalidSpec, "breakpoints must be finite: (0.0, inf)"),
+    (lambda: PiecewiseSpec((-math.inf, 0.0), (abs,) * 3), InvalidSpec, "breakpoints must be finite: (-inf, 0.0)"),
     (lambda: PiecewiseSpec((0,), (abs,)), InvalidSpec,
      "branch count must be breakpoint count + 1 (1 branches for 1 breakpoints)"),
     (lambda: PrecisionPlan(0, 2.0, 0.25), ValueError, "n_max must be >= 1, got 0"),

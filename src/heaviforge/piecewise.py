@@ -43,8 +43,8 @@ class InvalidInterval(ValueError):
 
 
 class InvalidSpec(ValueError):
-    """Breakpoints not finite or not strictly increasing, or branch count
-    mismatch."""
+    """Breakpoints not finite, not strictly increasing or, for
+    :func:`default_cutoffs`, too close together; or branch count mismatch."""
 
 
 class PiecewiseSpec(_Record):
@@ -74,7 +74,9 @@ def default_cutoffs(spec: PiecewiseSpec) -> CutoffParams:
     """Transition sharpness scaled to the spec: U = max(50, 50 / min gap).
 
     With a fixed U, impulses blur once breakpoints sit closer together than
-    the logistic transition width; scaling keeps them resolved.
+    the logistic transition width; scaling keeps them resolved.  A gap
+    below 50 / the largest float, about 2.8e-307, would make U infinite:
+    :class:`InvalidSpec` names its two breakpoints.
     """
     bps = spec.breakpoints
     if len(bps) < 2:
@@ -82,6 +84,9 @@ def default_cutoffs(spec: PiecewiseSpec) -> CutoffParams:
     else:
         min_gap = min(b2 - b1 for b1, b2 in zip(bps, bps[1:]))
         scale = max(50.0, 50.0 / min_gap)
+        if math.isinf(scale):
+            b1, b2 = next((b1, b2) for b1, b2 in zip(bps, bps[1:]) if b2 - b1 == min_gap)
+            raise InvalidSpec(f"breakpoints {b1!r} and {b2!r} are too close for a finite indicator scale")
     return CutoffParams(indicator_scale_U=scale)
 
 

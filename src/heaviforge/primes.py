@@ -64,9 +64,12 @@ def _check_count(name: str, value: int, most: float = math.inf) -> None:
 class PrecisionPlan(_Record):
     """Indicator scale valid for all n up to ``n_max``.
 
-    Invariant: e^{-U sin^2(pi/n_max)} < round_margin / n_max, so the summed
-    non-divisor leakage of any sigma0(n), n <= n_max, stays below the margin.
-    ``cutoffs`` is built once from U and takes no part in equality or hashing.
+    The leakage bound e^{-U sin^2(pi/n_max)} < round_margin / n_max keeps
+    the summed non-divisor leakage of any sigma0(n), n <= n_max, below the
+    margin.  :func:`plan_precision` guarantees it; the constructor does not
+    check it, so a plan built directly may break it, as ``primes N --U u``
+    does on purpose to show how an inadequate scale fails.  ``cutoffs`` is
+    built once from U and takes no part in equality or hashing.
     """
 
     _compare = _repr = ("n_max", "indicator_scale_U", "round_margin")
@@ -82,7 +85,7 @@ class PrecisionPlan(_Record):
 
 
 def plan_precision(n_max: int, round_margin: float = 0.25) -> PrecisionPlan:
-    """Smallest power-of-two U satisfying the plan invariant.
+    """Smallest power-of-two U satisfying :class:`PrecisionPlan`'s leakage bound.
 
     Powers of two keep plans reproducible across platforms.  Admissible
     scales start at 2: a scale of 1 would put the derived tangent margin at

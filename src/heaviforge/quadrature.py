@@ -198,9 +198,8 @@ def _block_states(integrand_of, xs: Sequence[float], edges, tol, alone=False):
     and warns and fails as it would have, in row order; and once its panels
     would fill a slice: alone it costs no more, and the block's memory
     stays bounded.  ``alone`` is that call: one row, under the caller's
-    error state, with no cap on its panels.
+    error state, with no cap on its panels.  Its callers check ``tol``.
     """
-    _check_tol(tol)
     if alone:
         report, catch, cap = {}, (), math.inf
     else:
@@ -447,6 +446,7 @@ def eval_quadrature(
     """
     if name not in _QUADRATURE:
         raise ValueError(f"unknown function {name!r}; expected one of {', '.join(_QUADRATURE)}")
+    _check_tol(tol)  # here, not per block: an empty column has no block
     on_half_line, integrand_of, finish = _QUADRATURE[name]
     params = params or CutoffParams()
     if on_half_line:

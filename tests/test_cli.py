@@ -433,7 +433,7 @@ def assert_plot_csv_is_the_evaluator(name, start, stop, step, T, U):
     assert out.split("\n") == ["x,raw", *rows, ""], argv
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     name=st.sampled_from(sorted(cli._FUNCTIONS)),
     start=st.one_of(st.sampled_from(EDGE_XS), st.floats(-50.0, 50.0)),
@@ -512,70 +512,6 @@ def test_stdout_is_the_same_under_the_tracers_wrappers(monkeypatch):
             assert all(name == integrator and type(state) is QuadratureResult for name, state in handed)
 
 
-# the numbers an eval or plot argv draws from: signed zeros, the smallest
-# subnormal, both ends of the range, and text float() reads as non-finite
-ARGV_NUMBERS = ["0", "-0.0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e300", "-1e300",
-                "1.7976931348623157e308", "-1.7976931348623157e308", "1", "-1", "0.5", "inf", "nan", "1e309"]
-
-
-def _number(valid):
-    """A value in ``valid``'s range, or an edge number that may be refused."""
-    return st.one_of(valid.map(repr), st.sampled_from(ARGV_NUMBERS))
-
-
-# option -> its values; eval refuses --format and plot --snap-atol, and
-# --U with --eps is refused by both
-ARGV_OPTIONS = {
-    "--T": _number(st.floats(0.0, 1e300, exclude_min=True)),
-    "--U": _number(st.floats(1.0, 1e300, exclude_min=True)),
-    "--eps": _number(st.floats(0.0, 0.78, exclude_min=True)),
-    "--snap-atol": _number(st.floats(0.0, 1.0)),
-    "--format": st.sampled_from(["csv", "svg"]),
-}
-
-
-@st.composite
-def eval_plot_argv(draw):
-    command, name = draw(st.sampled_from(["eval", "plot"])), draw(st.sampled_from(sorted(cli._FUNCTIONS)))
-    if command == "eval":
-        argv = ["eval", name, draw(_number(st.floats(allow_nan=False, allow_infinity=False)))]
-    elif draw(st.integers(0, 2)):  # a grid of at most 200 rows
-        start, step, rows = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e3)), draw(st.integers(1, 200))
-        argv = ["plot", name, repr(start), repr(start + (rows - 1) * step), repr(step)]
-    else:  # edge numbers: most such grids are refused, or hold a few rows
-        argv = ["plot", name, *(draw(st.sampled_from(ARGV_NUMBERS)) for _ in range(3))]
-    for option in draw(st.lists(st.sampled_from(sorted(ARGV_OPTIONS)), unique=True, max_size=3)):
-        argv += [option, draw(ARGV_OPTIONS[option])]
-    return argv
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(argv=eval_plot_argv())
-@example(argv=["plot", "H1", "-1", "1", "0.5"])
-@example(argv=["eval", "delta", "1e-300", "--T", "1e308"])
-@example(argv=["plot", "delta", "-1e-300", "1e-300", "1e-300", "--T", "1e308", "--format", "csv"])
-@example(argv=["plot", "rt", "-1e300", "1e300", "1e300", "--U", "1e300", "--format", "svg"])
-def test_eval_and_plot_argv_return_a_result_or_exit_2(argv):
-    code, out, err = run_in_process(argv)  # an exception other than SystemExit fails here
-    assert code in (0, 2), argv
-    assert "Traceback" not in err
-    if code == 2:
-        assert out == ""
-        return
-    if argv[0] == "eval":
-        assert re.fullmatch(rf"{argv[1]}\(\S+\) raw=\S+ snapped=\S+\ncutoffs T=\S+ eps=\S+ U=\S+ snap_atol=\S+\n", out)
-        return
-    rows = len(cli._grid(*map(float, argv[2:5])))
-    if "csv" in argv:
-        lines = out.split("\n")
-        assert lines[0] == "x,raw" and lines[-1] == ""
-        assert len(lines) == rows + 2 and all(line.count(",") == 1 for line in lines[1:-1])
-    else:
-        (points,) = re.findall(r'points="([^"]*)"', out)
-        assert len(points.split(" ")) == rows
-        assert re.fullmatch(r"-?\d+\.\d\d,-?\d+\.\d\d( -?\d+\.\d\d,-?\d+\.\d\d)*", points), argv  # no nan or inf
-
-
 # ---------------------------------------------------------------------------
 # primes
 
@@ -628,71 +564,15 @@ def test_primes_eps_is_the_scale_through_the_tangent():
     assert by_eps.stderr == by_scale.stderr
 
 
-def test_primes_rejects_zero_margin():
-    proc = run_cli("primes", "10", "--eps", "0")
-    assert proc.returncode == 2
-    assert "tan_margin_eps" in proc.stderr
-
-
 def test_primes_rejects_out_of_range():
     assert run_cli("primes", "0").returncode == 2
     assert run_cli("primes", "10001").returncode == 2
 
 
-# scale values at the edges of CutoffParams, and 800/801, mid-range scales at
-# which prime_chain skips some of each i's divisor terms, not all
-PRIMES_SCALE_EDGES = [math.nextafter(1.0, 2.0), 2.0, 800.0, 801.0, 1e300, math.inf, math.nan, math.pi / 4]
-
-
-@st.composite
-def primes_argv(draw):
-    scale = draw(st.one_of(st.none(), st.tuples(
-        st.sampled_from(["--U", "--eps"]), st.sampled_from(PRIMES_SCALE_EDGES))))
-    U = None
-    if scale is not None:
-        option, value = scale
-        try:
-            field = "indicator_scale_U" if option == "--U" else "tan_margin_eps"
-            U = CutoffParams(**{field: value}).indicator_scale_U
-        except ValueError:
-            pass  # refused: the command exits 2 before any chain runs
-    # below about 1e6 the chain keeps a share of every i's residues, so it
-    # stays quadratic (primes 10000 --U 801 takes about 3 s, --U 2 about 17 s)
-    n_max = draw(st.integers(-3, 400 if U is not None and U < 1e6 else 10_003))
-    argv = ["primes", str(n_max)]
-    if scale is not None:
-        argv += [scale[0], repr(scale[1])]
-    if draw(st.booleans()):
-        argv += ["--format", "csv"]
-    return argv
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(argv=primes_argv())
-@example(argv=["primes", "10000"])
-@example(argv=["primes", "10003"])
-@example(argv=["primes", "-3", "--format", "csv"])
-@example(argv=["primes", "400", "--U", "801"])
-@example(argv=["primes", "400", "--U", repr(math.nextafter(1.0, 2.0))])
-@example(argv=["primes", "10000", "--U", "1e+300"])
-@example(argv=["primes", "10", "--U", "nan"])
-@example(argv=["primes", "10", "--eps", repr(math.pi / 4)])
-def test_primes_argv_returns_a_result_or_exits_2(argv):
-    code, out, err = run_in_process(argv)  # an exception other than SystemExit fails here
-    assert code in (0, 1, 2), argv
-    if code == 2:
-        assert out == "" and "Traceback" not in err
-        return
-    n_max = int(argv[1])
-    summary = re.fullmatch(rf"primes n_max={n_max} U=\S+ mismatches=(\d+) of {n_max}\n", err)
-    assert summary, err
-    mismatches = int(summary.group(1))
-    assert (mismatches > 0) == (code == 1)
-    lines = out.split("\n")
-    assert lines.pop() == ""  # one LF after the last row
-    assert len(lines) == n_max + 1
-    assert all(line.count(",") == 6 for line in lines)
-    assert sum(line.endswith(",0") for line in lines[1:]) == mismatches
+def test_primes_rejects_zero_margin():
+    proc = run_cli("primes", "10", "--eps", "0")
+    assert proc.returncode == 2
+    assert "tan_margin_eps" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -783,17 +663,34 @@ def test_grandi_odd():
     assert "cesaro_mean 51/101" in proc.stdout
 
 
-def test_grandi_rejects_zero():
-    assert run_cli("grandi", "0").returncode == 2
-
-
 # ---------------------------------------------------------------------------
-# table / xiset / grandi argv
+# every argv: a result, exit 1 on a failed verification, or exit 2
 
-# table's options: eval and plot's, with --tol for --format
-TABLE_OPTIONS = {**{option: values for option, values in ARGV_OPTIONS.items() if option != "--format"},
-                 "--tol": _number(st.floats(0.0, 1e-3, exclude_min=True))}
+# the numbers an argv draws from: signed zeros, the smallest subnormal, both
+# ends of the range, scales at the edges of CutoffParams, 800 and 801 (scales
+# at which prime_chain skips some of each i's divisor terms, not all), and
+# text float() reads as non-finite
+ARGV_NUMBERS = ["0", "-0.0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e300", "-1e300",
+                "1.7976931348623157e308", "-1.7976931348623157e308", "1", "-1", "0.5", "inf", "nan", "1e309",
+                repr(math.nextafter(1.0, 2.0)), "2", "800", "801", repr(math.pi / 4)]
 
+
+def _number(valid):
+    """A value in ``valid``'s range, or an edge number that may be refused."""
+    return st.one_of(valid.map(repr), st.sampled_from(ARGV_NUMBERS))
+
+
+# option -> its values: every option of cli._OPTIONS but those UNDRAWN has
+# one, so an option the parser gains without values here fails every argv property
+OPTION_VALUES = {
+    "--T": _number(st.floats(0.0, 1e300, exclude_min=True)),
+    "--U": _number(st.floats(1.0, 1e300, exclude_min=True)),
+    "--eps": _number(st.floats(0.0, 0.78, exclude_min=True)),
+    "--tol": _number(st.floats(0.0, 1e-3, exclude_min=True)),
+    "--snap-atol": _number(st.floats(0.0, 1.0)),
+}
+UNDRAWN = {"--out"}  # it would write files from inside the test process
+FORMATS = sorted({"png"}.union(*cli._FORMATS.values()))  # png: a format no subcommand honours
 
 # xiset text from the grammar: set literals of small atoms, || between
 # components, the three operators and parentheses, or a chain
@@ -809,29 +706,156 @@ XISET_CHAINS = st.tuples(XISET_LITERALS, XISET_LITERALS, st.integers(0, 10**12),
 
 
 @st.composite
-def table_xiset_grandi_argv(draw):
-    command = draw(st.sampled_from(["table", "xiset", "grandi"]))
-    if command == "xiset":  # one argument, or the text split into several, which xiset joins
+def argvs(draw, command):
+    """An argv of ``command``: its arguments, up to three of the options
+    ``cli._OPTIONS`` says it honours, at times a ``--format`` value
+    ``cli._FORMATS`` lists for it, and, now and then, last, an option it does
+    not honour or a ``--format`` value outside its list."""
+    honoured = [option for option, (_, commands) in cli._OPTIONS.items()
+                if command in commands and option not in UNDRAWN]
+    chosen = draw(st.lists(st.sampled_from(honoured), unique=True, max_size=3)) if honoured else []
+    options = {option: draw(OPTION_VALUES[option]) for option in chosen}
+    if {"--U", "--eps"} <= options.keys() and draw(st.integers(0, 3)):  # one cutoff: most argvs give one of them
+        del options[draw(st.sampled_from(["--U", "--eps"]))]
+    formats = cli._FORMATS.get(command, [])
+    if formats and draw(st.booleans()):
+        options["--format"] = draw(st.sampled_from(formats))
+    name = st.sampled_from(sorted(cli._FUNCTIONS))
+    if command == "eval":
+        args = [draw(name), draw(_number(st.floats(allow_nan=False, allow_infinity=False)))]
+    elif command in ("table", "plot"):
+        args = [draw(name)]
+        if draw(st.integers(0, 2)):  # a grid of at most 20 rows for table, whose rows run quadrature, or 200
+            start, step = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e3))
+            rows = draw(st.integers(1, 20 if command == "table" else 200))
+            args += [repr(start), repr(start + (rows - 1) * step), repr(step)]
+        else:  # edge numbers: most such grids are refused, or hold a few rows
+            args += [draw(st.sampled_from(ARGV_NUMBERS)) for _ in range(3)]
+    elif command == "primes":
+        U, scale = None, {field: float(options[option]) for option, field in
+                          (("--U", "indicator_scale_U"), ("--eps", "tan_margin_eps")) if option in options}
+        if scale:
+            with contextlib.suppress(ValueError):  # refused: the command exits 2 before any chain runs
+                U = CutoffParams(**scale).indicator_scale_U
+        # below about 1e6 the chain keeps a share of every i's residues, so it
+        # stays quadratic (primes 10000 --U 801 takes about 3 s, --U 2 about 17 s)
+        args = [str(draw(st.integers(-3, 400 if U is not None and U < 1e6 else 10_003)))]
+    elif command == "xiset":  # one argument, or the text split into several, which xiset joins
         text = draw(st.one_of(XISET_EXPRESSIONS, XISET_CHAINS, xiset_texts()))
-        return ["xiset", *(text.split() if draw(st.booleans()) else [text])]
-    if command == "grandi":
-        return ["grandi", draw(st.one_of(st.integers(-3, 2_000).map(str), st.sampled_from(["", "x", "1.5", "1e3"])))]
-    name = draw(st.sampled_from(sorted(cli._FUNCTIONS)))
-    if draw(st.integers(0, 2)):  # a grid of at most 20 rows
-        start, step, rows = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1e3)), draw(st.integers(1, 20))
-        argv = ["table", name, repr(start), repr(start + (rows - 1) * step), repr(step)]
-    else:  # edge numbers: most such grids are refused, or hold a few rows
-        argv = ["table", name, *(draw(st.sampled_from(ARGV_NUMBERS)) for _ in range(3))]
-    for option in draw(st.lists(st.sampled_from(sorted(TABLE_OPTIONS)), unique=True, max_size=3)):
-        argv += [option, draw(TABLE_OPTIONS[option])]
+        args = text.split() if draw(st.booleans()) else [text]
+    else:
+        args = [draw(st.one_of(st.integers(-3, 2_000).map(str), st.sampled_from(["", "x", "1.5", "1e3"])))]
+    argv = [command, *args, *(token for pair in options.items() for token in pair)]
+    if draw(st.integers(0, 4)) == 4:  # about one argv in six (hypothesis favours the bounds)
+        option = draw(st.sampled_from([option for option in OPTION_VALUES if option not in honoured] + ["--format"]))
+        outside = st.sampled_from([value for value in FORMATS if value not in formats])  # --format's value
+        argv += [option, draw(OPTION_VALUES.get(option, outside))]
     return argv
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(argv=table_xiset_grandi_argv())
+def check_argv(argv):
+    """Run ``argv`` in-process: it returns its subcommand's output, exits 1 on
+    a failed verification (``table``, ``primes``), or exits 2 with a message."""
+    command = argv[0]
+    assert OPTION_VALUES.keys() == cli._OPTIONS.keys() - UNDRAWN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # table's integrands warn, as a fresh process prints on stderr
+        code, out, err = run_in_process(argv)  # an exception other than SystemExit fails here
+    assert code in (0, 1, 2) and "Traceback" not in err, argv
+    assert all(w.category is RuntimeWarning for w in caught) and (not caught or command == "table")
+    if any(option in cli._OPTIONS and command not in cli._OPTIONS[option][1]
+           or option == "--format" and value not in cli._FORMATS.get(command, [])
+           for option, value in zip(argv, argv[1:])):  # one it does not honour: argparse's usage and refusal
+        assert code == 2 and err.startswith("usage: heaviforge ")
+        assert re.search(r"^heaviforge( \w+)?: error: (unrecognized arguments: |argument )", err, re.M), err
+    if code == 2:
+        assert out == "" and err
+        return
+    # an argv that runs names a function of FAMILY and holds a finite real where a number goes
+    assert command not in ("eval", "table", "plot") or argv[1] in cli._FUNCTIONS
+    if command != "xiset":
+        for token in argv[2:]:
+            if not token.startswith("--") and token not in FORMATS:
+                cli._finite(token)  # the parser's own type: it raises where the parser refuses
+    lines = out.split("\n")
+    assert lines.pop() == ""  # one LF after the last line
+    if command == "primes":
+        n_max = int(argv[1])
+        summary = re.fullmatch(rf"primes n_max={n_max} U=\S+ mismatches=(\d+) of {n_max}\n", err)
+        assert 1 <= n_max <= 10_000 and summary, err
+        mismatches = int(summary.group(1))
+        assert (mismatches > 0) == (code == 1) and len(lines) == n_max + 1
+        assert all(line.count(",") == 6 for line in lines)
+        assert sum(line.endswith(",0") for line in lines[1:]) == mismatches
+        return
+    if command == "table" and err.startswith("heaviforge: quadrature failure: "):
+        assert code == 1 and lines == [] and err.count("\n") == 1
+        return
+    rows = len(cli._grid(*map(float, argv[2:5]))) if command in ("table", "plot") else None
+    if command == "table" and code == 1:
+        summary = rf"table {argv[1]} tol=\S+ mismatches=[1-9]\d* of {rows} max_backend_delta=\S+ at x=\S+\n"
+        assert re.fullmatch(summary, err), err
+    else:
+        assert (code, err) == (0, "")
+    if command == "eval":
+        assert re.fullmatch(rf"{argv[1]}\(\S+\) raw=\S+ snapped=\S+", lines[0])
+        assert re.fullmatch(r"cutoffs T=\S+ eps=\S+ U=\S+ snap_atol=\S+", lines[1]) and len(lines) == 2
+    elif command == "table":
+        assert lines[0] == "x,raw,snapped,backend_delta"
+        assert len(lines) == rows + 1 and all(line.count(",") == 3 for line in lines[1:])
+    elif command == "plot" and "csv" in argv:
+        assert lines[0] == "x,raw"
+        assert len(lines) == rows + 1 and all(line.count(",") == 1 for line in lines[1:])
+    elif command == "plot":
+        (points,) = re.findall(r'points="([^"]*)"', out)
+        assert len(points.split(" ")) == rows
+        assert re.fullmatch(r"-?\d+\.\d\d,-?\d+\.\d\d( -?\d+\.\d\d,-?\d+\.\d\d)*", points), argv  # no nan or inf
+    elif command == "xiset":
+        assert re.match(r"xi_class \d+\ncomponents |result \S+\nstrategy ", out)
+    else:
+        k = int(argv[1])
+        assert 1 <= k <= MAX_GRANDI_TERMS
+        sums, mean = lines
+        assert sums == "partial_sums " + ",".join("10"[n % 2] for n in range(k))
+        assert mean.startswith("cesaro_mean ") and Fraction(mean.split()[1]) == Fraction((k + 1) // 2, k)
+
+
+# the three groups' budgets: eval and plot 300, primes 60, table, xiset and
+# grandi 340 (40 and 300 before one argv in six became a stray option)
+@settings(max_examples=300)
+@given(argv=st.sampled_from(["eval", "plot"]).flatmap(argvs))
+@example(argv=["eval", "delta", "1e-300", "--T", "1e308"])
+@example(argv=["eval", "nope", "1"])
+@example(argv=["eval", "H2", "zero"])
+@example(argv=["plot", "H1", "-1", "1", "0.5"])
+@example(argv=["plot", "delta", "-1e-300", "1e-300", "1e-300", "--T", "1e308", "--format", "csv"])
+@example(argv=["plot", "rt", "-1e300", "1e300", "1e300", "--U", "1e300", "--format", "svg"])
+def test_eval_and_plot_argv_return_a_result_or_exit_2(argv):
+    check_argv(argv)
+
+
+@settings(max_examples=60)
+@given(argv=argvs("primes"))
+@example(argv=["primes", "0"])
+@example(argv=["primes", "10000"])
+@example(argv=["primes", "10001"])
+@example(argv=["primes", "10003"])
+@example(argv=["primes", "-3", "--format", "csv"])
+@example(argv=["primes", "400", "--U", "801"])
+@example(argv=["primes", "400", "--U", repr(math.nextafter(1.0, 2.0))])
+@example(argv=["primes", "10000", "--U", "1e+300"])
+@example(argv=["primes", "10", "--U", "nan"])
+@example(argv=["primes", "10", "--eps", repr(math.pi / 4)])
+def test_primes_argv_returns_a_result_or_exits_2(argv):
+    check_argv(argv)
+
+
+@settings(max_examples=340)
+@given(argv=st.sampled_from(["table", "xiset", "grandi"]).flatmap(argvs))
 @example(argv=["table", "q", "10", "100", "10"])  # rows over the bound
 @example(argv=["table", "u", "-1e200", "1e200", "1e199"])  # NaN integrand, after a warning
 @example(argv=["table", "H1", "-1", "1", "0.5", "--tol", "5e-324"])  # out of budget
+@example(argv=["table", "H1", "0", "1", "1", "--format", "svg"])
 @example(argv=["xiset", "chain", "{1}", "{2}", "100000000000", "aligned"])
 @example(argv=["grandi", "-1"])
 @example(argv=["grandi", "0"])
@@ -841,34 +865,4 @@ def table_xiset_grandi_argv(draw):
 @example(argv=["grandi", str(MAX_GRANDI_TERMS)])
 @example(argv=["grandi", str(MAX_GRANDI_TERMS + 1)])
 def test_table_xiset_and_grandi_argv_return_a_result_or_exit_1_or_2(argv):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # table's integrands warn, as a fresh process prints on stderr
-        code, out, err = run_in_process(argv)  # an exception other than SystemExit fails here
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err
-    assert all(w.category is RuntimeWarning for w in caught) and (not caught or argv[0] == "table")
-    if code == 2:
-        assert out == ""
-        return
-    if argv[0] == "grandi":
-        assert (code, err) == (0, "")
-        k = int(argv[1])
-        sums, mean = out.split("\n")[:2]
-        assert sums == "partial_sums " + ",".join("10"[n % 2] for n in range(k))
-        assert mean.startswith("cesaro_mean ") and Fraction(mean.split()[1]) == Fraction((k + 1) // 2, k)
-        return
-    if argv[0] == "xiset":
-        assert (code, err) == (0, "")
-        assert re.match(r"xi_class \d+\ncomponents |result \S+\nstrategy ", out)
-        return
-    rows = len(cli._grid(*map(float, argv[2:5])))
-    if code == 1 and err.startswith("heaviforge: quadrature failure: "):
-        assert out == "" and err.count("\n") == 1
-        return
-    lines = out.split("\n")
-    assert lines[0] == "x,raw,snapped,backend_delta" and lines[-1] == ""
-    assert len(lines) == rows + 2 and all(line.count(",") == 3 for line in lines[1:-1])
-    if code == 1:
-        assert re.fullmatch(rf"table {argv[1]} tol=\S+ mismatches=[1-9]\d* of {rows} max_backend_delta=\S+ at x=\S+\n", err)
-    else:
-        assert err == ""
+    check_argv(argv)

@@ -77,7 +77,7 @@ def _sign(v):
     return (v > 0.0) - (v < 0.0)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     x=st.floats(allow_nan=False, allow_infinity=False),
     T=st.floats(0.0, exclude_min=True, allow_infinity=False),

@@ -204,7 +204,7 @@ def gate_sum(spec, params, x):
     return total
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(case=spec_and_points())
 def test_compose_is_the_gate_sum_bit_for_bit(case):
     spec, params, xs = case
@@ -222,7 +222,7 @@ def test_compose_is_the_gate_sum_bit_for_bit(case):
         assert all(map(same_bits, partition_terms(spec, x, params), gate_terms(spec, params, x)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(case=spec_and_points())
 def test_partition_of_unity(case):
     spec, params, xs = case

@@ -49,7 +49,7 @@ PLAN200 = plan_precision(200)
 # ---------------------------------------------------------------------------
 # precision planning
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(n_max=st.integers(1, 10_000), margin=st.floats(1e-6, 0.5, exclude_max=True))
 @example(n_max=10, margin=0.25)
 @example(n_max=200, margin=0.25)
@@ -239,7 +239,7 @@ def test_prime_chain_equals_the_scalar_definitions_bit_for_bit(plan):
         assert (sigma0[n - 1], flags[n - 1], pi[n - 1]) == expected, n
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(n_max=st.integers(1, 150), U=st.floats(1.0, 2.0**24, exclude_min=True))
 @example(n_max=150, U=math.nextafter(1.0, 2.0))  # the widest band of H1 gates below 1.0
 @example(n_max=150, U=60 * math.log(2))  # the last scale at which no divisor term is skipped

@@ -221,6 +221,8 @@ def test_roundoff_limited_panels_stop_before_the_budget():
 def test_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         integrate_half_line(lambda t: np.exp(-t), CutoffParams(), 0.0)
+    with pytest.raises(ValueError, match="tol must be a positive real, got 0.0"):
+        eval_quadrature("f", [], CutoffParams(), 0.0)  # an empty column too
 
 
 def test_deterministic_for_fixed_inputs():

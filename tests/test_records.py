@@ -22,7 +22,7 @@ from heaviforge import (
     membership,
     plan_precision,
 )
-from heaviforge.piecewise import InvalidSpec
+from heaviforge.piecewise import InvalidSpec, default_cutoffs
 from heaviforge.xisets import ChainStrategy, MembershipMode
 
 # (record, its repr as printed)
@@ -143,6 +143,8 @@ def test_records_take_their_fields_by_position_and_by_name():
     (lambda: PiecewiseSpec((math.nan,), (abs,) * 2), InvalidSpec, "breakpoints must be finite: (nan,)"),
     (lambda: PiecewiseSpec((0.0, math.inf), (abs,) * 3), InvalidSpec, "breakpoints must be finite: (0.0, inf)"),
     (lambda: PiecewiseSpec((-math.inf, 0.0), (abs,) * 3), InvalidSpec, "breakpoints must be finite: (-inf, 0.0)"),
+    (lambda: default_cutoffs(PiecewiseSpec((0.0, 1e-308), (abs,) * 3)), InvalidSpec,
+     "breakpoints 0.0 and 1e-308 are too close for a finite indicator scale"),
     (lambda: PiecewiseSpec((0,), (abs,)), InvalidSpec,
      "branch count must be breakpoint count + 1 (1 branches for 1 breakpoints)"),
     (lambda: PrecisionPlan(0, 2.0, 0.25), ValueError, "n_max must be >= 1, got 0"),

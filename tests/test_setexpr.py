@@ -137,7 +137,7 @@ def texts(draw):
     return "".join(tokens)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(text=texts())
 @example(text="(" * (MAX_DEPTH + 1))
 @example(text="chain {1} {2} " + LONG)

@@ -535,7 +535,7 @@ def test_delta_integrand_matches_the_four_term_form():
 # ---------------------------------------------------------------------------
 # properties of the documented promises
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     T=st.floats(1.0, 1000.0),
     U=st.floats(1.0, 1024.0, exclude_min=True),
@@ -555,7 +555,7 @@ def test_table_backends_agree(T, U, tol, start, stop, rows):
             assert abs(quad.value - raw) <= tol + 256 * 2.0**-52 * max(1.0, abs(raw)), (name, x)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(T=st.floats(1.0, 1000.0), U=st.floats(1.0, 1024.0, exclude_min=True))
 def test_tighter_tol_is_never_worse_beyond_rounding(T, U):
     # not exactly monotone: a finer panel set can land a few ulp further
@@ -571,7 +571,7 @@ def test_tighter_tol_is_never_worse_beyond_rounding(T, U):
                 assert e_tight <= e_loose + 16 * 2.0**-52 * max(1.0, abs(raw)), (name, x)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     x=st.floats(allow_nan=False, allow_infinity=False),
     T=st.floats(0.0, exclude_min=True, allow_infinity=False),

@@ -323,7 +323,7 @@ xisets = st.lists(st.frozensets(atoms, max_size=8), min_size=1, max_size=12).map
 MIXED = XiSet.of((), {10, 9, "b", "B", "_"}, {"b"}, {9, 100})
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(xisets)
 @example(MIXED)
 @example(XiSet.of(()))
@@ -331,7 +331,7 @@ def test_str_formats_each_component_as_a_finite_set(x):
     assert str(x) == " || ".join(format_finite_set(c) for c in x.components)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(xisets)
 @example(MIXED)
 @example(XiSet.of(()))
@@ -341,7 +341,7 @@ def test_str_round_trips_through_the_parser_in_component_order(x):
     assert parsed.components == x.components
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(xisets)
 @example(MIXED)
 @example(XiSet.of({1, "a"}))

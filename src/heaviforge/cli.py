@@ -25,7 +25,7 @@ import functools
 import math
 import re
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 # The parser and eval/plot need only the closed-form core; primes, xiset,
@@ -74,12 +74,21 @@ _OPTIONS = {
 _FORMATS = {"table": ["csv"], "plot": ["csv", "svg"], "primes": ["csv"]}
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    # refuses what it does not take under its own usage; argparse would pass it up to the top level
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 @functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heaviforge", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("eval", help="evaluate one function at one point")
     p.add_argument("function", choices=sorted(_FUNCTIONS))
@@ -245,20 +254,18 @@ def _cmd_primes(args, params: CutoffParams) -> Result:
         plan = PrecisionPlan(plan.n_max, params.indicator_scale_U, plan.round_margin)
     margin = plan.round_margin
 
-    lines = ["n,sigma0_analytic,sigma0_exact,fes_snapped,pi_analytic,pi_sieve,match"]
-    mismatches = 0
-    rows = zip(range(1, n_max + 1), *prime_chain(plan), sigma0_counts(n_max), pi_sieve_counts(n_max))
-    for n, sig, flag, pi_raw, sig_exact, pi_exact in rows:
-        fes_snapped = snap(flag, margin)
-        ok = (
-            round(sig) == sig_exact
-            and fes_snapped == (1.0 if sig_exact == 2 else 0.0)
-            and snap(pi_raw, margin) == pi_exact
-        )
-        if not ok:
-            mismatches += 1
-        # _fmt's format for the raw columns, one % per row
-        lines.append("%d,%.17g,%d,%.17g,%.17g,%d,%d" % (n, sig, sig_exact, fes_snapped, pi_raw, pi_exact, ok))
+    sigma0, flags, pi = prime_chain(plan)
+    sigma0_exact, pi_exact = sigma0_counts(n_max), pi_sieve_counts(n_max)
+    fes_snapped = [snap(flag, margin) for flag in flags]
+    match = [
+        round(sig) == sig_exact and snapped == (1.0 if sig_exact == 2 else 0.0) and snap(pi_raw, margin) == pi_count
+        for sig, sig_exact, snapped, pi_raw, pi_count in zip(sigma0, sigma0_exact, fes_snapped, pi, pi_exact)
+    ]
+    mismatches = match.count(False)
+    # _fmt's format for the raw columns, one % over the interleaved columns
+    rows = zip(range(1, n_max + 1), sigma0, sigma0_exact, fes_snapped, pi, pi_exact, match)
+    body = "\n".join(["%d,%.17g,%d,%.17g,%.17g,%d,%d"] * n_max) % tuple(chain.from_iterable(rows))
+    lines = ["n,sigma0_analytic,sigma0_exact,fes_snapped,pi_analytic,pi_sieve,match", body]
     summary = f"primes n_max={n_max} U={_fmt(plan.indicator_scale_U)} mismatches={mismatches} of {n_max}"
     return lines, MISMATCH_ERROR if mismatches else 0, summary
 

@@ -162,10 +162,10 @@ def fes(n: int, plan: PrecisionPlan) -> float:
 def _gated_count(flags, gates, total: float = 0.0) -> float:
     """``total`` plus the sum of flag * gate, added left to right.
 
-    The order is part of the result: :func:`prime_chain` reproduces
-    :func:`pi_analytic` bit for bit only because both add the same terms in
-    the same order.  (``sum`` compensates from Python 3.12 on, which would
-    change the last bits.)
+    The order is part of the result: :func:`prime_chain`, which sums its
+    columns without calling this, reproduces :func:`pi_analytic` bit for bit
+    only because each n adds the same terms in this same order.  (``sum``
+    compensates from Python 3.12 on, which would change the last bits.)
     """
     for flag, gate in zip(flags, gates):
         total += flag * gate
@@ -187,31 +187,43 @@ def pi_analytic(x: float, plan: PrecisionPlan) -> float:
     return _gated_count(flags, (eval_step(StepKind.H1, x - i, params) for i in terms))
 
 
+def _live_rate(U: float) -> float:
+    """The share of i within which a residue r or i - r of i has a term of 2^-60 or more."""
+    live = 60.0 * math.log(2.0) / U
+    return math.asin(math.sqrt(live)) / math.pi * (1.0 + 1e-6) if live < 1.0 else 0.5
+
+
 def prime_chain(plan: PrecisionPlan) -> tuple[list[float], list[float], list[float]]:
     """``(sigma0, fes, pi)`` for n = 1..plan.n_max, entry n - 1 for n.
 
     Equal bit for bit to ``sigma0_analytic(n)``, ``fes(n)`` and
-    ``pi_analytic(float(n))``, but it skips the divisor terms that round
-    away and multiplies no flag by a gate that is exactly 1.0:
+    ``pi_analytic(float(n))``, but it computes only the terms that can
+    change a bit:
 
     - sigma0: for each i in ascending order, the term of residue r is
-      computed once and added to every n = i + r, 2i + r, ... <= n_max.
-      The terms fall from r = 0 up to i // 2 and from r = i - 1 down to
-      i // 2 + 1, so each i sweeps its residues in those two directions and
-      stops a sweep at its first term below 2^-60.  Each n thus receives the scalar
-      loop's terms in the scalar loop's order, minus terms too small to
-      change its total.
+      computed once and added to every n = i + r, 2i + r, ... <= n_max; the
+      term of r = 0 is rt(0), the literal 1.0.  The terms fall from r = 1 up
+      to i // 2 and from r = i - 1 down to i // 2 + 1, and reach 2^-60 only
+      where U sin^2(pi r / i) <= 60 ln 2: within cap = int(i * _live_rate(U))
+      of 0 or i, the rate's margin of 1e-6 far above the sine's rounding
+      (about 1e-12 relative).  So each i sweeps those two directions up to
+      its cap, stopping a sweep at its first term below 2^-60, and an i of
+      cap 0 computes no term.  Each n receives the scalar loop's terms in
+      the scalar loop's order, minus terms too small to change its total.
     - pi: H1 is computed once per integer offset k = n - i (float(n) - i is
       exactly float(n - i) at these sizes).  From some offset K on every
       gate is exactly 1.0, so the terms i <= n - K add up to a prefix sum
       of the flags (``itertools.accumulate`` adds in sequence, like the
-      scalar loop); the at most K + 1 remaining terms follow, left to right.
+      scalar loop).  The at most K + 1 other terms follow as columns: column
+      m adds flag n - K + m (0-based) times the one gate H1(K - 1 - m) to
+      every n at once, so each n adds its terms in :func:`_gated_count`'s order.
     """
     n_max, params = plan.n_max, plan.cutoffs
     U = params.indicator_scale_U
     # rt(x) is eval_rt's exp(-U * x * x), its operations in its order, with
     # the lookups of exp, sin and pi and the negation of U made once
     exp, sin, pi_, neg_U = math.exp, math.sin, math.pi, -U
+    rate = _live_rate(U)
     totals = [0.0] * (n_max + 1)  # totals[n] = sigma0(n); entry 0 unused
     # Every total starts at exactly 1.0, from the i = 1 term rt(0), and the
     # terms are non-negative, so a term below 2^-53, half an ulp of 1.0,
@@ -219,29 +231,32 @@ def prime_chain(plan: PrecisionPlan) -> tuple[list[float], list[float], list[flo
     # rounding of about 1e-14 relative, so once one lies below 2^-60 it and
     # every later term of its sweep lie below 2^-53: stopping changes no bit.
     for i in range(1, n_max + 1):
-        half = i // 2
-        for sweep in (range(min(half, n_max - i) + 1), range(min(i - 1, n_max - i), half, -1)):
-            for r in sweep:
-                s = sin(pi_ * r / i)
-                term = exp(neg_U * s * s)
-                if term < 2.0**-60:
-                    break
-                for n in range(i + r, n_max + 1, i):
-                    totals[n] += term
+        for n in range(i, n_max + 1, i):
+            totals[n] += 1.0
+        if cap := int(i * rate):
+            half = i // 2
+            for sweep in (range(1, min(cap, half, n_max - i) + 1),
+                          range(min(i - 1, n_max - i), max(half, i - 1 - cap), -1)):
+                for r in sweep:
+                    s = sin(pi_ * r / i)
+                    term = exp(neg_U * s * s)
+                    if term < 2.0**-60:
+                        break
+                    for n in range(i + r, n_max + 1, i):
+                        totals[n] += term
     sigma0 = totals[1:]
     flags = [exp(neg_U * d * d) for d in [s - 2.0 for s in sigma0]]  # rt(sigma0 - 2)
-    # gates[j] = H1(n_max - 1 - j), offsets n_max - 1 down to -1; pi(n) pairs
-    # flag i with gate n - i from j = n_max - n on, and min(n + 1, n_max)
-    # terms in all, the cap of pi_analytic
+    # gates[j] = H1(n_max - 1 - j), offsets n_max - 1 down to -1
     gates = [_h1(float(k), params) for k in range(n_max - 1, -2, -1)]
     # every gate of offset >= K is exactly 1.0: K is read off the gates
     K = 1 + max((n_max - 1 - j for j, gate in enumerate(gates) if gate != 1.0), default=-1)
-    prefix = [0.0, *itertools.accumulate(flags)]  # prefix[h] = flags[0] + ... + flags[h - 1]
-    pi = []
-    for n in range(1, n_max + 1):
-        h = max(n - K, 0)  # flags 1..h meet gates of offset >= K, all exactly 1.0
-        # the live terms only: flags h + 1..min(n + 1, n_max), at most K + 1
-        pi.append(_gated_count(flags[h : n + 1], gates[n_max - n + h :], prefix[h]))
+    # pi(n) starts from the sum of flags 1..n - K, whose gates are all 1.0;
+    # padded[n + m] is flag n - K + m, 0.0 below flag 1 and past the last
+    # (pi_analytic's cap)
+    pi = [0.0] * K + list(itertools.accumulate(flags[: n_max - K]))
+    padded = [0.0] * K + flags + [0.0]
+    for m, gate in enumerate(gates[n_max - K :]):  # H1(K - 1) down to H1(-1)
+        pi = [total + flag * gate for total, flag in zip(pi, padded[1 + m : n_max + 1 + m])]
     return sigma0, flags, pi
 
 

@@ -154,7 +154,9 @@ def test_conflicting_scale_flags_exit_2():
 def test_options_a_subcommand_would_ignore_exit_2(args, tmp_path):
     proc = run_cli(*args, cwd=tmp_path)
     assert proc.returncode == 2
-    assert "unrecognized arguments" in proc.stderr
+    # the subcommand's own usage and refusal, not the top-level parser's
+    assert proc.stderr.startswith(f"usage: heaviforge {args[0]} ")
+    assert f"\nheaviforge {args[0]}: error: unrecognized arguments: " in proc.stderr
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -765,9 +767,9 @@ def check_argv(argv):
     assert all(w.category is RuntimeWarning for w in caught) and (not caught or command == "table")
     if any(option in cli._OPTIONS and command not in cli._OPTIONS[option][1]
            or option == "--format" and value not in cli._FORMATS.get(command, [])
-           for option, value in zip(argv, argv[1:])):  # one it does not honour: argparse's usage and refusal
-        assert code == 2 and err.startswith("usage: heaviforge ")
-        assert re.search(r"^heaviforge( \w+)?: error: (unrecognized arguments: |argument )", err, re.M), err
+           for option, value in zip(argv, argv[1:])):  # one it does not honour: its subcommand's usage and refusal
+        assert code == 2 and err.startswith(f"usage: heaviforge {command} ")
+        assert re.search(rf"^heaviforge {command}: error: (unrecognized arguments: |argument )", err, re.M), err
     if code == 2:
         assert out == "" and err
         return

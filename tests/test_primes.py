@@ -15,6 +15,7 @@ from heaviforge.primes import (
     OutOfPlan,
     PrecisionPlan,
     _gated_count,
+    _live_rate,
     fes,
     pi_analytic,
     pi_sieve,
@@ -240,13 +241,16 @@ def test_prime_chain_equals_the_scalar_definitions_bit_for_bit(plan):
 
 
 @settings(max_examples=40)
-@given(n_max=st.integers(1, 150), U=st.floats(1.0, 2.0**24, exclude_min=True))
+@given(n_max=st.integers(1, 150), U=st.floats(1.0, 2.0**40, exclude_min=True))
 @example(n_max=150, U=math.nextafter(1.0, 2.0))  # the widest band of H1 gates below 1.0
 @example(n_max=150, U=60 * math.log(2))  # the last scale at which no divisor term is skipped
 @example(n_max=150, U=math.nextafter(60 * math.log(2), math.inf))  # the first that skips one
 @example(n_max=150, U=800.0)  # mid-range scales: each i skips some residues, not all
 @example(n_max=150, U=801.0)
 @example(n_max=150, U=2.0**24)
+@example(n_max=150, U=94825.2190254341)  # the last scale at which i = 150 has a residue cap of 1
+@example(n_max=150, U=94825.21902543411)  # the first at which every i <= 150 has cap 0
+@example(n_max=150, U=2.0**40)
 def test_prime_chain_is_the_scalar_chain_for_any_scale(n_max, U):
     plan = PrecisionPlan(n_max=n_max, indicator_scale_U=U, round_margin=0.25)
     sigma0, flags, pi = prime_chain(plan)
@@ -256,6 +260,26 @@ def test_prime_chain_is_the_scalar_chain_for_any_scale(n_max, U):
         terms = range(1, min(n + 1, n_max) + 1)
         gates = [eval_step(StepKind.H1, float(n - i), plan.cutoffs) for i in terms]
         assert pi[n - 1] == _gated_count(flags[: len(terms)], gates), n
+
+
+@settings(max_examples=30)
+@given(U=st.floats(0.0, 40.0, exclude_min=True).map(lambda e: 2.0**e))  # log-uniform on (1, 2^40]
+@example(U=60 * math.log(2))  # the last scale at which every sweep is full
+@example(U=math.nextafter(60 * math.log(2), math.inf))
+# scales at which U sin^2(pi r / i) is 60 ln 2 up to rounding: without the
+# rate's margin, the residue just past the cap computes a term of 2^-60 here
+@example(U=106.11137007590125)  # i = 274, 548
+@example(U=4464.746368635619)  # i = 65
+def test_every_residue_past_the_cap_computes_a_term_below_2_to_the_minus_60(U):
+    rate = _live_rate(U)
+    for i in range(1, 10_001):
+        cap = int(i * rate)
+        # the residue just past the cap on each side of i // 2, where there is one
+        for r, exists in ((cap + 1, cap + 1 <= i // 2), (i - cap - 1, i - cap - 1 > i // 2)):
+            if not exists:
+                continue
+            s = math.sin(math.pi * r / i)  # the chain's term, its operations in its order
+            assert math.exp(-U * s * s) < 2.0**-60, (i, r, cap)
 
 
 def chain_digest(plan):
